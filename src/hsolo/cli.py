@@ -24,12 +24,11 @@ from .bench import (
     format_summary,
     run_benchmark,
 )
-from .estimator import HsoloConfig, _filtered_from_errors, estimate_epsilon_r, hsolo_estimate
+from .estimator import HsoloConfig, estimate_epsilon_r, hsolo_estimate, seed_medians
 from .exceptions import FileFormatError, HsoloError, InfeasibleSpec, NoModelFound
 from .fileio import load_correspondences, save_correspondences, save_result, write_result
-from .geometry import Homography, pool_arrays, transfer_errors
+from .geometry import Homography
 from .robust import DEFAULT_MAX_ITERATIONS, RansacConfig, ransac_homography
-from .solvers import single_match_homography
 from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 
@@ -205,16 +204,11 @@ def _cmd_calibrate(args) -> int:
         seed_set = "all"
     if len(seeds) < 4:
         raise ValueError(f"need >= 4 seed correspondences, got {len(seeds)}")
-    src, dst = pool_arrays(pool)
-    medians = []
-    for c in seeds:
-        h_prime = single_match_homography(c)
-        fs = _filtered_from_errors(transfer_errors(h_prime.m, src, dst), args.nf)
-        medians.append(fs.median_error)
-    finite = [m for m in medians if np.isfinite(m)]
+    medians = seed_medians(seeds, pool, args.nf)
+    finite = medians[np.isfinite(medians)]
     if len(finite) < 4:
         raise ValueError("fewer than 4 finite filtered-median errors; cannot calibrate")
-    q1, q3 = np.percentile(np.asarray(finite), [25.0, 75.0])
+    q1, q3 = np.percentile(finite, [25.0, 75.0])
     sys.stdout.write(f"n_seeds: {len(finite)}\n")
     sys.stdout.write(f"seed_set: {seed_set}\n")
     sys.stdout.write(f"q1: {float(q1)!r}\n")

@@ -4,17 +4,20 @@ One scale/rotation-aware correspondence pins down a similarity approximation
 of the homography. Ranking the pool by reprojection error under that
 approximation concentrates inliers near the top, so a small inner RANSAC on
 the best-ranked subset can recover the full model in a handful of draws. The
-outer loop tries seed correspondences one at a time from a shuffled pool, uses
-the median filtered error as a cheap gate to skip hopeless seeds, and adapts
-its iteration budget as support improves. The winning model is polished by a
-damped Gauss-Newton (Levenberg-Marquardt) pass over its inliers.
+outer loop walks seed correspondences of a shuffled pool, uses the median
+filtered error as a cheap gate to skip hopeless seeds, and adapts its
+iteration budget as support improves. Seeds are evaluated in blocks (sketches,
+pool errors and gate medians for many seeds in one array pass), then replayed
+in order, so the budget and results are those of a one-at-a-time loop. The
+winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt) pass
+over its inliers.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +84,50 @@ class FilteredSet:
     median_error: float
 
 
+# Seed blocks start small, because an early improvement can cut the outer
+# budget to a few seeds, and double up to the row count that keeps each
+# (rows, n) float64 temporary within this many elements (512 KB); larger
+# blocks would save little per seed.
+_FIRST_SEED_BLOCK = 16
+_SEED_BLOCK_ELEMENTS = 1 << 16
+
+
+def _max_seed_block(n: int) -> int:
+    return max(1, _SEED_BLOCK_ELEMENTS // n)
+
+
+def _median_of_smallest(part: np.ndarray, take: int) -> np.ndarray:
+    """Median of the ``take`` smallest values along the last axis.
+
+    ``part`` must hold its values of rank (take - 1) // 2 and take // 2 in
+    place, as a sort or an ``np.partition`` at those ranks leaves them. An
+    even count averages the middle pair, as ``np.median`` does.
+    """
+    lo, hi = (take - 1) // 2, take // 2
+    if lo == hi:
+        return part[..., hi]
+    return (part[..., lo] + part[..., hi]) / 2.0
+
+
 def _filtered_from_errors(errors: np.ndarray, n_f: int) -> FilteredSet:
+    errors = np.where(np.isnan(errors), np.inf, errors)
     take = min(n_f, errors.shape[0])
-    pairs = heapq.nsmallest(take, zip(errors.tolist(), range(errors.shape[0])))
-    idx = np.fromiter((i for _, i in pairs), dtype=np.intp, count=take)
-    errs = np.fromiter((e for e, _ in pairs), dtype=np.float64, count=take)
-    return FilteredSet(indices=idx, errors=errs, median_error=float(np.median(errs)))
+    # every entry tied with the take-th smallest is a candidate; flatnonzero
+    # lists them by index and the stable sort keeps that order among ties
+    kth = np.partition(errors, take - 1)[take - 1]
+    cand = np.flatnonzero(errors <= kth)
+    idx = cand[np.argsort(errors[cand], kind="stable")[:take]]
+    errs = errors[idx]
+    return FilteredSet(indices=idx, errors=errs, median_error=float(_median_of_smallest(errs, take)))
 
 
 def filter_by_model(h_prime: Homography, pool: list[Correspondence], n_f: int) -> FilteredSet:
     """Select the min(n_f, len(pool)) correspondences with lowest error under h_prime.
 
     Selection is exact: ties in error are broken by pool index, and
-    correspondences whose source projects to infinity rank last (+inf error).
-    Uses a bounded heap, so cost is O(n log n_f) comparisons.
+    correspondences whose source projects to infinity (+inf error) or whose
+    error is NaN rank last, NaN counting as +inf. A partition finds the
+    cut-off error, so cost is O(n) plus a sort of the selected entries.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
@@ -102,6 +135,83 @@ def filter_by_model(h_prime: Homography, pool: list[Correspondence], n_f: int) -
         raise ValueError(f"n_f must be >= 1, got {n_f}")
     src, dst = pool_arrays(pool)
     return _filtered_from_errors(transfer_errors(h_prime.m, src, dst), n_f)
+
+
+def _seed_block(
+    seeds: Sequence[Correspondence], src: np.ndarray, dst: np.ndarray, n_f: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pool errors under each seed's similarity sketch, and each seed's gate median.
+
+    Returns ``(errors, medians)``. Row i of ``errors`` holds the error of
+    every ``src -> dst`` pair under the sketch of ``seeds[i]``, bit for bit
+    what ``transfer_errors(single_match_homography(seeds[i]).m, src, dst)``
+    gives, except that NaN becomes +inf. ``medians[i]`` is the median of the
+    row's min(n_f, n) smallest errors. A seed whose sketch ``Homography``
+    rejects (non-finite or singular) gets +inf throughout, so it fails every
+    gate instead of raising.
+    """
+    cols = np.array(
+        [(c.a.p.u, c.a.p.v, c.b.p.u, c.b.p.v, c.a.scale, c.b.scale, c.a.angle, c.b.angle) for c in seeds]
+    ).reshape(-1, 8)
+    u1, v1, u2, v2 = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    # single_match_homography's arithmetic, one column per entry; math.cos and
+    # math.sin because numpy's vector versions may round differently
+    delta = (cols[:, 7] - cols[:, 6]).tolist()
+    cos_d = np.array([math.cos(d) for d in delta])
+    sin_d = np.array([math.sin(d) for d in delta])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        r = cols[:, 5] / cols[:, 4]
+        l00, l01 = r * cos_d, -r * sin_d
+        l10, l11 = r * sin_d, r * cos_d
+        tx = u2 - (l00 * u1 + l01 * v1)
+        ty = v2 - (l10 * u1 + l11 * v1)
+        fro2 = l00 * l00 + l01 * l01 + tx * tx + l10 * l10 + l11 * l11 + ty * ty + 1.0
+        det = l00 * l11 - l01 * l10
+        # With a factor-2 margin over rounding: the entries are finite,
+        # Homography keeps them as given (h9 = 1 is significant) and passes
+        # its determinant test. The last row is then (0, 0, 1), so
+        # transfer_errors divides by exactly 1 and flags no point.
+        plain = (fro2 < 0.25 / SINGULARITY_RTOL**2) & (
+            det > 2.0 * SINGULARITY_RTOL * fro2 * np.sqrt(fro2)
+        )
+    l00, l01, tx, l10, l11, ty = (np.where(plain, e, 0.0) for e in (l00, l01, tx, l10, l11, ty))
+    # transfer_errors' elementwise operations, in its order
+    u, v = src[:, 0], src[:, 1]
+    x = l00[:, None] * u + l01[:, None] * v + tx[:, None]
+    y = l10[:, None] * u + l11[:, None] * v + ty[:, None]
+    errors = np.hypot(x - dst[:, 0], y - dst[:, 1])
+    # the rest take Homography's own path, whose canonical scaling and exact
+    # determinant decide the few rows near the margins
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            m = single_match_homography(seeds[i]).m
+        except (SingularMatrix, ValueError):
+            errors[i] = np.inf
+        else:
+            errors[i] = transfer_errors(m, src, dst)
+    errors[np.isnan(errors)] = np.inf
+    take = min(n_f, errors.shape[1])
+    ranks = sorted({(take - 1) // 2, take // 2})
+    return errors, _median_of_smallest(np.partition(errors, ranks, axis=1), take)
+
+
+def seed_medians(
+    seeds: Sequence[Correspondence], pool: Sequence[Correspondence], n_f: int
+) -> np.ndarray:
+    """Gate median of each seed: the quantity ``hsolo_estimate`` compares with epsilon_r.
+
+    For every seed, the median error of the min(n_f, len(pool)) pool entries
+    ranked best by the seed's similarity sketch; +inf for a seed whose
+    byproducts give no usable sketch. Seeds are evaluated in blocks.
+    """
+    if not pool:
+        raise ValueError("pool must be non-empty")
+    if n_f < 1:
+        raise ValueError(f"n_f must be >= 1, got {n_f}")
+    src, dst = pool_arrays(pool)
+    rows = _max_seed_block(len(pool))
+    medians = [_seed_block(seeds[i : i + rows], src, dst, n_f)[1] for i in range(0, len(seeds), rows)]
+    return np.concatenate(medians) if medians else np.empty(0)
 
 
 def median_gate(fs: FilteredSet, epsilon_r: float) -> bool:
@@ -260,6 +370,12 @@ def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> Estimatio
     model is refined before being returned. Reported inlier indices refer to
     the pool order given by the caller.
 
+    Sketches, errors and gate medians are computed for a block of upcoming
+    seeds at once (16 seeds at first, doubling up to a fixed element budget),
+    then the block is replayed seed by seed, so budget updates, random draws
+    and results are exactly those of evaluating one seed at a time. A seed
+    whose byproducts give a non-finite or singular sketch fails the gate.
+
     Raises :class:`NoModelFound` when no seed passes the gate or no inner
     RANSAC reaches a support of 4.
     """
@@ -282,28 +398,37 @@ def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> Estimatio
     best_support = 0
     history: list[Improvement] = []
     it = 0
+    max_rows = _max_seed_block(n)
+    rows = min(_FIRST_SEED_BLOCK, max_rows)
     while it < min(k, n):
-        seed_corr = shuffled[it]
-        inner_seed = int(rng.integers(0, 2**63))
-        it += 1
-        h_prime = single_match_homography(seed_corr)
-        fs = _filtered_from_errors(transfer_errors(h_prime.m, src, dst), config.n_f)
-        if not median_gate(fs, config.epsilon_r):
-            continue
-        inner_config = RansacConfig(
-            epsilon=config.epsilon, p=config.p, sample_size=4, seed=inner_seed
-        )
-        try:
-            inner = ransac_homography(
-                [shuffled[j] for j in fs.indices], shuffled, config.w_f, inner_config
+        lo, hi = it, min(k, n, it + rows)
+        rows = min(2 * rows, max_rows)
+        errors, medians = _seed_block(shuffled[lo:hi], src, dst, config.n_f)
+        passed = medians <= config.epsilon_r
+        # replay in order: every seed walked draws its inner seed, and an
+        # improvement shrinks k before the next seed is looked at
+        for j in range(hi - lo):
+            if it >= k:
+                break
+            inner_seed = int(rng.integers(0, 2**63))
+            it += 1
+            if not passed[j]:
+                continue
+            fs = _filtered_from_errors(errors[j], config.n_f)
+            inner_config = RansacConfig(
+                epsilon=config.epsilon, p=config.p, sample_size=4, seed=inner_seed
             )
-        except NoModelFound:
-            continue
-        if inner.support > best_support:
-            best = inner
-            best_support = inner.support
-            k = min(k, outer_budget(min(1.0, inner.support / n)))
-            history.append(Improvement(it, inner.support, k, inner.model))
+            try:
+                inner = ransac_homography(
+                    [shuffled[i] for i in fs.indices], shuffled, config.w_f, inner_config
+                )
+            except NoModelFound:
+                continue
+            if inner.support > best_support:
+                best = inner
+                best_support = inner.support
+                k = min(k, outer_budget(min(1.0, inner.support / n)))
+                history.append(Improvement(it, inner.support, k, inner.model))
 
     if best is None:
         raise NoModelFound("no seed correspondence led to a model with support >= 4")

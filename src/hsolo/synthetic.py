@@ -194,15 +194,19 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
             )
 
     log_lo, log_hi = math.log(spec.outlier_scale_range[0]), math.log(spec.outlier_scale_range[1])
-    for _ in range(n_out):
-        a_p = Point2(rng.uniform(0.0, width), rng.uniform(0.0, height))
-        b_p = Point2(rng.uniform(0.0, width), rng.uniform(0.0, height))
-        s1 = math.exp(rng.uniform(log_lo, log_hi))
-        s2 = math.exp(rng.uniform(log_lo, log_hi))
-        theta1 = rng.uniform(-math.pi, math.pi)
-        theta2 = rng.uniform(-math.pi, math.pi)
+    # Per outlier: u1, v1, u2, v2, log s1, log s2, theta1, theta2. A scalar
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one row-major
+    # block of rng.random draws gives the same values and leaves the
+    # generator in the same state as drawing them one at a time.
+    lo = np.array([0.0, 0.0, 0.0, 0.0, log_lo, log_lo, -math.pi, -math.pi])
+    hi = np.array([width, height, width, height, log_hi, log_hi, math.pi, math.pi])
+    draws = lo + (hi - lo) * rng.random((n_out, 8))
+    for u1, v1, u2, v2, log_s1, log_s2, theta1, theta2 in draws.tolist():
         correspondences.append(
-            Correspondence(AffineFeature(a_p, s1, theta1), AffineFeature(b_p, s2, theta2))
+            Correspondence(
+                AffineFeature(Point2(u1, v1), math.exp(log_s1), theta1),
+                AffineFeature(Point2(u2, v2), math.exp(log_s2), theta2),
+            )
         )
 
     mask = np.zeros(spec.n_total, dtype=bool)

@@ -135,6 +135,37 @@ class TestSolve:
         assert rc == 1
 
 
+@pytest.fixture(
+    params=[(1e-200, 1e200), (1e200, 1e-200), (40.0, 0.2)], ids=["overflow", "underflow", "singular"]
+)
+def extreme_row_files(request, tmp_path):
+    """A 300-row file with one extreme-byproduct row at each of three positions."""
+    path = tmp_path / "scene.csv"
+    assert main(["generate", str(path), "--n", "299", "--w", "0.05", "--seed", "5"]) == 0
+    rows = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()[1:]]
+    s1, s2 = request.param
+    files = []
+    for position in (0, 150, 299):
+        edited = rows[:position] + [f"100.0,120.0,{s1!r},0.3,300.0,200.0,{s2!r},-0.2"] + rows[position:]
+        out = tmp_path / f"extreme{position}.csv"
+        out.write_text(f"{CORR_HEADER}\n" + "\n".join(edited) + "\n")
+        files.append(out)
+    return files
+
+
+class TestExtremeRow:
+    def test_solve_never_reports_bad_input(self, extreme_row_files, capsys):
+        for path in extreme_row_files:
+            assert main(["solve", str(path)]) in (0, 1)
+            assert "error:" not in capsys.readouterr().err
+
+    def test_calibration_skips_unusable_seed(self, extreme_row_files, capsys):
+        for path in extreme_row_files:
+            assert main(["calibrate-epsilon-r", str(path)]) == 0
+            doc = dict(ln.split(": ", 1) for ln in capsys.readouterr().out.splitlines())
+            assert doc["seed_set"] == "all" and int(doc["n_seeds"]) == 299
+
+
 class TestBench:
     def test_synthetic_sweep_summary(self, capsys):
         rc = main(

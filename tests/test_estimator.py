@@ -353,6 +353,32 @@ class TestHsoloEstimate:
         with pytest.raises(NoModelFound):
             hsolo_estimate(pool, HsoloConfig(epsilon_r=1e-6, seed=0))
 
+    # the last is a 1/200 scale ratio, as an outlier match between a coarse
+    # and a fine feature can give; its sketch fails Homography's determinant
+    # test against a 360 px translation
+    @pytest.mark.parametrize("scales", [(1e-200, 1e200), (1e200, 1e-200), (40.0, 0.2)])
+    @pytest.mark.parametrize("position", [0, 150, 299])
+    def test_extreme_byproduct_row_is_skipped_not_fatal(self, scales, position):
+        """A seed whose sketch overflows or is singular fails the gate instead of raising."""
+        pool, mask = generate_scene(
+            SceneSpec(
+                truth=random_scene_truth(np.random.default_rng(5), (640.0, 480.0)),
+                image_bounds=(640.0, 480.0),
+                n_total=299,
+                inlier_rate=0.05,
+                seed=3,
+            )
+        )
+        extreme = Correspondence(
+            AffineFeature(Point2(100.0, 120.0), scales[0], 0.3),
+            AffineFeature(Point2(300.0, 200.0), scales[1], -0.2),
+        )
+        pool.insert(position, extreme)
+        res = hsolo_estimate(pool, HsoloConfig(seed=0))
+        assert res.support == len(res.inlier_indices) >= 0.9 * mask.sum()
+        src, dst = pool_arrays(pool)
+        assert np.all(transfer_errors(res.model.m, src, dst)[res.inlier_indices] <= 4.0)
+
     def test_gate_rejects_most_outlier_seeds(self):
         """Sketches grown from outliers rarely collect a low-error neighborhood."""
         truth, pool, mask = scene_pool(seed=500)
