@@ -62,12 +62,7 @@ from .robust import (
     ransac_homography,
     required_iterations,
 )
-from .solvers import (
-    SimilarityParts,
-    dlt_solve,
-    similarity_to_matrix,
-    single_match_homography,
-)
+from .solvers import dlt_solve, single_match_homography
 from .synthetic import (
     LocalByproducts,
     SceneSpec,
@@ -104,7 +99,6 @@ __all__ = [
     "Refinement",
     "SceneSpec",
     "SceneSweep",
-    "SimilarityParts",
     "SingularMatrix",
     "SummaryRow",
     "TheoryRow",
@@ -129,7 +123,6 @@ __all__ = [
     "run_benchmark",
     "save_correspondences",
     "save_result",
-    "similarity_to_matrix",
     "single_match_homography",
     "theory_curves",
 ]

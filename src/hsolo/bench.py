@@ -25,7 +25,7 @@ from .analysis import NOISE, dbscan_1d
 from .estimator import HsoloConfig, hsolo_estimate
 from .exceptions import InfeasibleSpec, NoModelFound
 from .fileio import LoadedCorrespondences
-from .geometry import pool_arrays, transfer_errors
+from .geometry import pool_arrays, project_points, transfer_errors
 from .robust import EstimationResult, RansacConfig, ransac_homography
 from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
@@ -93,15 +93,7 @@ def _held_out_pairs(truth, bounds) -> tuple[np.ndarray, np.ndarray]:
     ys = np.linspace(0.1 * height, 0.9 * height, _EVAL_GRID)
     gx, gy = np.meshgrid(xs, ys)
     a = np.column_stack([gx.ravel(), gy.ravel()])
-    m = truth.m
-    w = m[2, 0] * a[:, 0] + m[2, 1] * a[:, 1] + m[2, 2]
-    b = np.column_stack(
-        [
-            (m[0, 0] * a[:, 0] + m[0, 1] * a[:, 1] + m[0, 2]) / w,
-            (m[1, 0] * a[:, 0] + m[1, 1] * a[:, 1] + m[1, 2]) / w,
-        ]
-    )
-    return a, b
+    return a, project_points(truth.m, a)[0]
 
 
 def _estimate(method, pool, h_cfg: HsoloConfig, r_cfg: RansacConfig):
@@ -136,6 +128,21 @@ def _evaluate(result, elapsed, method, w_true, eval_a, eval_b, seed) -> TrialRec
     )
 
 
+def _method_records(
+    pool, methods, h_cfg, r_cfg, hsolo_ss, ransac_ss, w_true, eval_a, eval_b, trial_seed
+) -> list[TrialRecord]:
+    """Run and evaluate every method on one pool, each on its own seed stream."""
+    records = []
+    for method in methods:
+        if method == "hsolo":
+            cfgs = (replace(h_cfg, seed=_seed_int(hsolo_ss)), r_cfg)
+        else:
+            cfgs = (h_cfg, replace(r_cfg, seed=_seed_int(ransac_ss)))
+        result, elapsed = _estimate(method, pool, *cfgs)
+        records.append(_evaluate(result, elapsed, method, w_true, eval_a, eval_b, trial_seed))
+    return records
+
+
 def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, h_cfg, r_cfg) -> list[TrialRecord]:
     ss = np.random.SeedSequence((base_seed, wi, ti))
     trial_seed = _seed_int(ss)
@@ -157,32 +164,18 @@ def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, h_cfg, r_cfg) -> list
         return [TrialRecord(m, float("nan"), False, math.inf, 0, 0.0, trial_seed) for m in methods]
     w_true = float(mask.mean())
     eval_a, eval_b = _held_out_pairs(truth, sweep.image_bounds)
-    records = []
-    for method in methods:
-        if method == "hsolo":
-            cfg = replace(h_cfg, seed=_seed_int(hsolo_ss))
-            result, elapsed = _estimate(method, pool, cfg, r_cfg)
-        else:
-            cfg = replace(r_cfg, seed=_seed_int(ransac_ss))
-            result, elapsed = _estimate(method, pool, h_cfg, cfg)
-        records.append(_evaluate(result, elapsed, method, w_true, eval_a, eval_b, trial_seed))
-    return records
+    return _method_records(
+        pool, methods, h_cfg, r_cfg, hsolo_ss, ransac_ss, w_true, eval_a, eval_b, trial_seed
+    )
 
 
-def _file_trial(loaded, eval_a, eval_b, w_true, ti, base_seed, methods, h_cfg, r_cfg):
+def _file_trial(pool, eval_a, eval_b, w_true, ti, base_seed, methods, h_cfg, r_cfg):
     ss = np.random.SeedSequence((base_seed, 0, ti))
     trial_seed = _seed_int(ss)
     _, _, hsolo_ss, ransac_ss = ss.spawn(4)
-    records = []
-    for method in methods:
-        if method == "hsolo":
-            cfg = replace(h_cfg, seed=_seed_int(hsolo_ss))
-            result, elapsed = _estimate(method, loaded.correspondences, cfg, r_cfg)
-        else:
-            cfg = replace(r_cfg, seed=_seed_int(ransac_ss))
-            result, elapsed = _estimate(method, loaded.correspondences, h_cfg, cfg)
-        records.append(_evaluate(result, elapsed, method, w_true, eval_a, eval_b, trial_seed))
-    return records
+    return _method_records(
+        pool, methods, h_cfg, r_cfg, hsolo_ss, ransac_ss, w_true, eval_a, eval_b, trial_seed
+    )
 
 
 def _run_trials(trial_fn, args_list, workers: int):
@@ -282,8 +275,25 @@ def run_benchmark(
     raise TypeError(f"source must be SceneSweep or LoadedCorrespondences, got {type(source)}")
 
 
-def _hsolo_feasible(c: int, cfg: HsoloConfig) -> bool:
-    return c / cfg.n_f >= cfg.w_f
+def _runnable(methods, c, h_cfg, trials, notes, what) -> tuple[list, int]:
+    """The methods to run for ``c`` expected inliers, and hsolo's skipped trials.
+
+    hsolo is dropped, with a note, when c / n_f < w_f: its filtered-set
+    assumption cannot hold there.
+    """
+    run_methods = list(methods)
+    if "hsolo" not in run_methods or c / h_cfg.n_f >= h_cfg.w_f:
+        return run_methods, 0
+    run_methods.remove("hsolo")
+    notes.append(f"hsolo skipped{what} give c/n_f = {c / h_cfg.n_f:.3f} < w_f = {h_cfg.w_f}")
+    return run_methods, trials
+
+
+def _summaries(methods, w, records, trials, skipped) -> list[SummaryRow]:
+    return [
+        _summarize(m, w, [r for r in records if r.method == m], trials, skipped if m == "hsolo" else 0)
+        for m in methods
+    ]
 
 
 def _run_synthetic(sweep, methods, trials, h_cfg, r_cfg, seed, workers) -> BenchmarkResult:
@@ -291,23 +301,13 @@ def _run_synthetic(sweep, methods, trials, h_cfg, r_cfg, seed, workers) -> Bench
     summary: list[SummaryRow] = []
     notes: list[str] = []
     for wi, w in enumerate(sweep.inlier_rates):
-        run_methods = list(methods)
-        skipped = 0
         c = round(sweep.n_total * w)
-        if "hsolo" in run_methods and not _hsolo_feasible(c, h_cfg):
-            run_methods.remove("hsolo")
-            skipped = trials
-            notes.append(
-                f"hsolo skipped at w={w}: expected inliers {c} give "
-                f"c/n_f = {c / h_cfg.n_f:.3f} < w_f = {h_cfg.w_f}"
-            )
+        what = f" at w={w}: expected inliers {c}"
+        run_methods, skipped = _runnable(methods, c, h_cfg, trials, notes, what)
         args = [(sweep, w, wi, ti, seed, run_methods, h_cfg, r_cfg) for ti in range(trials)]
         batch = _run_trials(_synthetic_trial, args, workers) if run_methods else []
         records.extend(batch)
-        for method in methods:
-            group = [r for r in batch if r.method == method]
-            n_skipped = skipped if method == "hsolo" else 0
-            summary.append(_summarize(method, w, group, trials, n_skipped))
+        summary.extend(_summaries(methods, w, batch, trials, skipped))
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 
@@ -321,18 +321,11 @@ def _run_file(
             "the scale/angle byproduct columns (8-field rows). Run with ransac only."
         )
     mask = loaded.inlier_mask
-    run_methods = list(methods)
-    skipped = 0
+    run_methods, skipped = list(methods), 0
     if mask is not None:
         c = int(mask.sum())
         w_true = float(mask.mean())
-        if "hsolo" in run_methods and not _hsolo_feasible(c, h_cfg):
-            run_methods.remove("hsolo")
-            skipped = trials
-            notes.append(
-                f"hsolo skipped: {c} flagged inliers give "
-                f"c/n_f = {c / h_cfg.n_f:.3f} < w_f = {h_cfg.w_f}"
-            )
+        run_methods, skipped = _runnable(methods, c, h_cfg, trials, notes, f": {c} flagged inliers")
         eval_pool = [loaded.correspondences[i] for i in np.flatnonzero(mask)]
     else:
         w_true = float("nan")
@@ -341,22 +334,13 @@ def _run_file(
     eval_a, eval_b = pool_arrays(eval_pool)
 
     args = [
-        (loaded, eval_a, eval_b, w_true, ti, seed, run_methods, h_cfg, r_cfg)
+        (loaded.correspondences, eval_a, eval_b, w_true, ti, seed, run_methods, h_cfg, r_cfg)
         for ti in range(trials)
     ]
     records = _run_trials(_file_trial, args, workers) if run_methods else []
     if mask is None and records:
         records = _cluster_success(records, run_methods, dbscan_eps, dbscan_min_pts)
-    summary = [
-        _summarize(
-            m,
-            w_true,
-            [r for r in records if r.method == m],
-            trials,
-            skipped if m == "hsolo" else 0,
-        )
-        for m in methods
-    ]
+    summary = _summaries(methods, w_true, records, trials, skipped)
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 

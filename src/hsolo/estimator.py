@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InsufficientData, NoModelFound, SingularMatrix
-from .geometry import SINGULARITY_RTOL, Correspondence, Homography, pool_arrays, transfer_errors
+from .geometry import (
+    SINGULARITY_RTOL, Correspondence, Homography, apply_homogeneous, pool_arrays, transfer_errors
+)
 from .robust import (
     DEFAULT_MAX_ITERATIONS,
     EstimationResult,
@@ -256,9 +258,7 @@ def _residuals_and_jacobian(params: np.ndarray, src: np.ndarray, dst: np.ndarray
     reject.
     """
     u, v = src[:, 0], src[:, 1]
-    big_x = params[0] * u + params[1] * v + params[2]
-    big_y = params[3] * u + params[4] * v + params[5]
-    big_w = params[6] * u + params[7] * v + 1.0
+    big_x, big_y, big_w = apply_homogeneous(np.append(params, 1.0).reshape(3, 3), u, v)
     iw = 1.0 / big_w
     x = big_x * iw
     y = big_y * iw
@@ -415,9 +415,7 @@ def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> Estimatio
             if not passed[j]:
                 continue
             fs = _filtered_from_errors(errors[j], config.n_f)
-            inner_config = RansacConfig(
-                epsilon=config.epsilon, p=config.p, sample_size=4, seed=inner_seed
-            )
+            inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seed)
             try:
                 inner = ransac_homography(
                     [shuffled[i] for i in fs.indices], shuffled, config.w_f, inner_config

@@ -157,18 +157,27 @@ class Homography:
         return f"Homography([{rows}])"
 
 
+def apply_homogeneous(m: np.ndarray, u, v):
+    """Homogeneous image ``(x, y, w)`` of points ``(u, v)`` under a 3x3 matrix.
+
+    The package's one projection arithmetic; elementwise, so floats (in
+    :func:`project`) and arrays (in :func:`project_points`) get the same bits.
+    """
+    x = m[0, 0] * u + m[0, 1] * v + m[0, 2]
+    y = m[1, 0] * u + m[1, 1] * v + m[1, 2]
+    w = m[2, 0] * u + m[2, 1] * v + m[2, 2]
+    return x, y, w
+
+
 def project(h: Homography, p: Point2) -> Point2:
     """Apply a homography to a point.
 
     Raises :class:`DegenerateProjection` when the homogeneous w-component is
     below tolerance, i.e. the point maps (numerically) to the line at infinity.
     """
-    m = h.m
-    w = m[2, 0] * p.u + m[2, 1] * p.v + m[2, 2]
+    x, y, w = apply_homogeneous(h.m, p.u, p.v)
     if abs(w) <= SINGULARITY_RTOL * h._fro:
         raise DegenerateProjection(f"point ({p.u}, {p.v}) maps to the line at infinity")
-    x = m[0, 0] * p.u + m[0, 1] * p.v + m[0, 2]
-    y = m[1, 0] * p.u + m[1, 1] * p.v + m[1, 2]
     return Point2(x / w, y / w)
 
 
@@ -177,10 +186,10 @@ def reprojection_error(h: Homography, c: Correspondence) -> float:
 
     Propagates :class:`DegenerateProjection`; scoring loops that must not
     abort should use :func:`transfer_errors`, which maps degenerate
-    projections to +infinity instead.
+    projections to +infinity instead and otherwise agrees bit for bit.
     """
     q = project(h, c.a.p)
-    return math.hypot(q.u - c.b.p.u, q.v - c.b.p.v)
+    return float(np.hypot(q.u - c.b.p.u, q.v - c.b.p.v))
 
 
 def compose(h1: Homography, h2: Homography) -> Homography:
@@ -209,20 +218,30 @@ def pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
     return src, dst
 
 
+def project_points(m: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a 3x3 matrix to (n, 2) points: the array projection kernel.
+
+    Returns ``(xy, ok)``. ``ok`` is False where the homogeneous w-component
+    is at most :data:`SINGULARITY_RTOL` times the matrix's Frobenius norm,
+    i.e. the point maps (numerically) to the line at infinity; those rows of
+    ``xy`` are +infinity.
+    """
+    m = np.asarray(m, dtype=float)
+    x, y, w = apply_homogeneous(m, pts[:, 0], pts[:, 1])
+    bad = np.abs(w) <= SINGULARITY_RTOL * float(np.linalg.norm(m))
+    w[bad] = 1.0
+    xy = np.empty((w.shape[0], 2))
+    np.divide(x, w, out=xy[:, 0])
+    np.divide(y, w, out=xy[:, 1])
+    xy[bad] = np.inf
+    return xy, ~bad
+
+
 def transfer_errors(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Per-pair reprojection error of ``src -> dst`` under a 3x3 matrix.
 
-    Degenerate projections (w-component below tolerance) get +infinity so a
-    bad candidate model loses support instead of crashing the caller.
+    Degenerate projections (w-component below tolerance) land at infinity, so
+    a bad candidate model loses support instead of crashing the caller.
     """
-    m = np.asarray(m, dtype=float)
-    fro = float(np.linalg.norm(m))
-    u, v = src[:, 0], src[:, 1]
-    w = m[2, 0] * u + m[2, 1] * v + m[2, 2]
-    bad = np.abs(w) <= SINGULARITY_RTOL * fro
-    w_safe = np.where(bad, 1.0, w)
-    x = (m[0, 0] * u + m[0, 1] * v + m[0, 2]) / w_safe
-    y = (m[1, 0] * u + m[1, 1] * v + m[1, 2]) / w_safe
-    err = np.hypot(x - dst[:, 0], y - dst[:, 1])
-    err[bad] = np.inf
-    return err
+    xy, _ = project_points(m, src)
+    return np.hypot(xy[:, 0] - dst[:, 0], xy[:, 1] - dst[:, 1])

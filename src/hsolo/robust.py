@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import DegenerateConfiguration, IllConditioned, NoModelFound, SingularMatrix
 from .geometry import SINGULARITY_RTOL, Correspondence, Homography, pool_arrays, transfer_errors
-from .solvers import COLLINEARITY_AREA_RTOL, dlt_solve
+from .solvers import dlt_solve, solve_minimal_batch
 
 DEFAULT_MAX_ITERATIONS = 10_000_000
 
@@ -54,7 +54,10 @@ def required_iterations(w: float, n: int, p: float, max_iterations: int = DEFAUL
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """Parameters of a RANSAC run."""
+    """Parameters of a RANSAC run.
+
+    ``sample_size`` must be 4 (the batched minimal DLT); result documents echo it.
+    """
 
     epsilon: float = 4.0
     p: float = 0.95
@@ -67,8 +70,8 @@ class RansacConfig:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.sample_size < 4:
-            raise ValueError(f"sample_size must be >= 4, got {self.sample_size}")
+        if self.sample_size != 4:
+            raise ValueError(f"sample_size must be 4 (the minimal DLT), got {self.sample_size}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -111,94 +114,6 @@ def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.n
         out[bad] = rng.integers(0, n, size=(n_bad, s))
 
 
-def _solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized DLT on a batch of 4-point samples.
-
-    src, dst: (c, 4, 2). Returns (models (c, 3, 3), valid (c,)). Invalid rows
-    (collinear sources, coincident points, singular systems) carry garbage
-    models and must be ignored by the caller.
-    """
-    count = src.shape[0]
-    valid = np.ones(count, dtype=bool)
-
-    spans = src.max(axis=1) - src.min(axis=1)
-    bbox = spans[:, 0] * spans[:, 1]
-    min_area = np.full(count, np.inf)
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        ax = src[:, j, 0] - src[:, i, 0]
-        ay = src[:, j, 1] - src[:, i, 1]
-        bx = src[:, k, 0] - src[:, i, 0]
-        by = src[:, k, 1] - src[:, i, 1]
-        min_area = np.minimum(min_area, 0.5 * np.abs(ax * by - ay * bx))
-    valid &= min_area > COLLINEARITY_AREA_RTOL * bbox
-
-    c1 = src.mean(axis=1, keepdims=True)
-    d1 = src - c1
-    rms1 = np.sqrt(np.mean(np.sum(d1**2, axis=2), axis=1))
-    c2 = dst.mean(axis=1, keepdims=True)
-    d2 = dst - c2
-    rms2 = np.sqrt(np.mean(np.sum(d2**2, axis=2), axis=1))
-    valid &= (rms1 > 0.0) & (rms2 > 0.0)
-    s1 = math.sqrt(2.0) / np.where(rms1 > 0.0, rms1, 1.0)
-    s2 = math.sqrt(2.0) / np.where(rms2 > 0.0, rms2, 1.0)
-
-    un = d1 * s1[:, None, None]
-    xn = d2 * s2[:, None, None]
-    u, v = un[:, :, 0], un[:, :, 1]
-    x, y = xn[:, :, 0], xn[:, :, 1]
-
-    a = np.zeros((count, 8, 8))
-    a[:, 0::2, 0] = u
-    a[:, 0::2, 1] = v
-    a[:, 0::2, 2] = 1.0
-    a[:, 0::2, 6] = -u * x
-    a[:, 0::2, 7] = -v * x
-    a[:, 1::2, 3] = u
-    a[:, 1::2, 4] = v
-    a[:, 1::2, 5] = 1.0
-    a[:, 1::2, 6] = -u * y
-    a[:, 1::2, 7] = -v * y
-    rhs = np.zeros((count, 8))
-    rhs[:, 0::2] = x
-    rhs[:, 1::2] = y
-
-    a[~valid] = np.eye(8)
-    try:
-        h = np.linalg.solve(a, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # rare: an exactly singular system slipped past the area check
-        h = np.zeros((count, 8))
-        for idx in range(count):
-            try:
-                h[idx] = np.linalg.solve(a[idx], rhs[idx])
-            except np.linalg.LinAlgError:
-                valid[idx] = False
-    finite = np.isfinite(h).all(axis=1)
-    valid &= finite
-    h[~finite] = 0.0
-
-    h_n = np.empty((count, 3, 3))
-    h_n[:, 0, :] = h[:, 0:3]
-    h_n[:, 1, :] = h[:, 3:6]
-    h_n[:, 2, 0] = h[:, 6]
-    h_n[:, 2, 1] = h[:, 7]
-    h_n[:, 2, 2] = 1.0
-
-    t1 = np.zeros((count, 3, 3))
-    t1[:, 0, 0] = s1
-    t1[:, 1, 1] = s1
-    t1[:, 0, 2] = -s1 * c1[:, 0, 0]
-    t1[:, 1, 2] = -s1 * c1[:, 0, 1]
-    t1[:, 2, 2] = 1.0
-    t2_inv = np.zeros((count, 3, 3))
-    t2_inv[:, 0, 0] = 1.0 / s2
-    t2_inv[:, 1, 1] = 1.0 / s2
-    t2_inv[:, 0, 2] = c2[:, 0, 0]
-    t2_inv[:, 1, 2] = c2[:, 0, 1]
-    t2_inv[:, 2, 2] = 1.0
-    return t2_inv @ h_n @ t1, valid
-
-
 def _support_counts(
     models: np.ndarray, valid: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsilon: float
 ) -> np.ndarray:
@@ -218,27 +133,6 @@ def _support_counts(
     return counts.astype(np.int64)
 
 
-def _models_for_samples(
-    sample_pool: list[Correspondence],
-    s_src: np.ndarray,
-    s_dst: np.ndarray,
-    samples: np.ndarray,
-    sample_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    if sample_size == 4:
-        return _solve_minimal_batch(s_src[samples], s_dst[samples])
-    count = samples.shape[0]
-    models = np.zeros((count, 3, 3))
-    valid = np.zeros(count, dtype=bool)
-    for i in range(count):
-        try:
-            models[i] = dlt_solve([sample_pool[j] for j in samples[i]]).m
-            valid[i] = True
-        except (DegenerateConfiguration, IllConditioned, SingularMatrix):
-            pass
-    return models, valid
-
-
 def ransac_homography(
     sample_pool: list[Correspondence],
     score_pool: list[Correspondence],
@@ -247,7 +141,7 @@ def ransac_homography(
 ) -> EstimationResult:
     """Adaptive RANSAC with separate sampling and scoring pools.
 
-    Draws ``config.sample_size`` distinct correspondences per iteration from
+    Draws 4 distinct correspondences (``config.sample_size``) per iteration from
     ``sample_pool`` (a degenerate sample consumes its iteration), solves the
     minimal DLT, and counts support in ``score_pool`` at threshold
     ``config.epsilon``. The iteration budget starts from ``w_init`` and is
@@ -282,7 +176,7 @@ def ransac_homography(
         chunk = min(batch, k - it)
         batch = min(2 * batch, _CHUNK)
         samples = _draw_distinct(rng, ns, config.sample_size, chunk)
-        models, valid = _models_for_samples(sample_pool, s_src, s_dst, samples, config.sample_size)
+        models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
         supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
         for j in range(chunk):
             if it >= k:

@@ -1,8 +1,11 @@
 """Homography solvers.
 
-Two entry points: the Hartley-normalized least-squares DLT for four or more
-correspondences, and the closed-form similarity built from a single
-correspondence's scale and rotation byproducts.
+Three entry points: the Hartley-normalized least-squares DLT for four or more
+correspondences, the same normalized DLT for a batch of 4-point samples (the
+RANSAC minimal solver), and the closed-form similarity built from a single
+correspondence's scale and rotation byproducts. Both DLTs build their systems
+with one batched normalization and design-matrix kernel and share one
+collinear-triple test.
 
 The single-match solver treats each feature's byproducts as a canonical-patch
 to image map (scale, then rotate, then translate onto the feature point). The
@@ -15,7 +18,6 @@ onto the second and its linear part is (s_b/s_a) times the rotation by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,34 +32,6 @@ COLLINEARITY_AREA_RTOL = 1e-6
 # normalization) squares past double precision; equivalent to a normal-equation
 # condition estimate above ~1e16.
 MAX_DESIGN_CONDITION = 1e8
-
-
-@dataclass(frozen=True)
-class SimilarityParts:
-    """Scale / rotation / translation parameters of a similarity transform."""
-
-    scale: float
-    angle: float
-    tx: float
-    ty: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"similarity scale must be > 0, got {self.scale}")
-
-
-def similarity_to_matrix(parts: SimilarityParts) -> Homography:
-    """Similarity as a homography: scale and rotate about the origin, then translate."""
-    c = math.cos(parts.angle)
-    s = math.sin(parts.angle)
-    m = np.array(
-        [
-            [parts.scale * c, -parts.scale * s, parts.tx],
-            [parts.scale * s, parts.scale * c, parts.ty],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    return Homography(m)
 
 
 def single_match_homography(c: Correspondence) -> Homography:
@@ -81,33 +55,21 @@ def single_match_homography(c: Correspondence) -> Homography:
     return Homography(np.array([[l00, l01, tx], [l10, l11, ty], [0.0, 0.0, 1.0]]))
 
 
-def _hartley_transform(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity taking points to centroid 0 and RMS radius sqrt(2).
+# the four source triples of a 4-point sample, as index columns i, j, k
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
 
-    Returns (normalized points, 3x3 transform). Raises on coincident points.
+
+def _no_collinear_triple(src: np.ndarray) -> np.ndarray:
+    """False for each (c, 4, 2) source sample with a collinear triple.
+
+    A triple counts as collinear when its triangle area is at most
+    :data:`COLLINEARITY_AREA_RTOL` times the sample's bounding-box area.
     """
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    rms = math.sqrt(float(np.mean(np.sum(centered**2, axis=1))))
-    if rms == 0.0:
-        raise DegenerateConfiguration("all points coincident")
-    s = math.sqrt(2.0) / rms
-    t = np.array(
-        [[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]]
-    )
-    return centered * s, t
-
-
-def _check_minimal_sample(src: np.ndarray) -> None:
-    """Reject a 4-point sample when any source triple is collinear."""
-    spans = src.max(axis=0) - src.min(axis=0)
-    bbox_area = float(spans[0] * spans[1])
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        ax, ay = src[j] - src[i]
-        bx, by = src[k] - src[i]
-        area = 0.5 * abs(ax * by - ay * bx)
-        if area <= COLLINEARITY_AREA_RTOL * bbox_area:
-            raise DegenerateConfiguration("3 of the 4 source points are collinear")
+    i, j, k = _TRIPLES
+    spans = src.max(axis=1) - src.min(axis=1)
+    ab, ac = src[:, j] - src[:, i], src[:, k] - src[:, i]
+    area = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    return area.min(axis=1) > COLLINEARITY_AREA_RTOL * (spans[:, 0] * spans[:, 1])
 
 
 def _check_spread(src: np.ndarray) -> None:
@@ -116,6 +78,62 @@ def _check_spread(src: np.ndarray) -> None:
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[0] == 0.0 or sv[1] <= 1e-8 * sv[0]:
         raise DegenerateConfiguration("source points span no area")
+
+
+def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Move each (c, k, 2) point set to centroid 0 and RMS radius sqrt(2).
+
+    Returns (normalized points, scales (c,), centroids (c, 2), ok (c,)); ok
+    is False for a set of coincident points, whose scale is a placeholder.
+    """
+    # sums divided by the count: the bits of np.mean, without its call overhead
+    centroid = pts.sum(axis=1, keepdims=True) / pts.shape[1]
+    centered = pts - centroid
+    rms = np.sqrt(np.sum(centered**2, axis=2).sum(axis=1) / pts.shape[1])
+    ok = rms > 0.0
+    s = math.sqrt(2.0) / np.where(ok, rms, 1.0)
+    return centered * s[:, None, None], s, centroid[:, 0], ok
+
+
+def _similarity(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(c, 3, 3) matrices scaling by s (c,), then translating by t (c, 2)."""
+    m = np.zeros((s.shape[0], 3, 3))
+    m[:, 0, 0] = m[:, 1, 1] = s
+    m[:, :2, 2] = t
+    m[:, 2, 2] = 1.0
+    return m
+
+
+def _dlt_system(src: np.ndarray, dst: np.ndarray):
+    """Hartley-normalized DLT systems of (c, k, 2) correspondence sets.
+
+    Rows 2i and 2i + 1 are point i's x and y equations in the first 8
+    homography entries, the last pinned to 1. Returns (a (c, 2k, 8),
+    rhs (c, 2k), t1, (s2, c2), ok): the source normalizations (c, 3, 3), the
+    scales and centroids of the target ones, and ok False where either side
+    is coincident or, for minimal sets (k = 4), a source triple is collinear.
+    """
+    un, s1, c1, ok1 = _hartley(src)
+    xn, s2, c2, ok2 = _hartley(dst)
+    count, k = un.shape[:2]
+    # per point (u, v) -> (x, y): [u v 1 0 0 0 -ux -vx] = x, [0 0 0 u v 1 -uy -vy] = y
+    a = np.zeros((count, k, 2, 8))
+    a[:, :, 0, 0:2] = un
+    a[:, :, 0, 2] = 1.0
+    a[:, :, 0, 6:8] = -un * xn[..., 0:1]
+    a[:, :, 1, 3:5] = un
+    a[:, :, 1, 5] = 1.0
+    a[:, :, 1, 6:8] = -un * xn[..., 1:2]
+    ok = ok1 & ok2
+    if k == 4:
+        ok &= _no_collinear_triple(src)
+    t1 = _similarity(s1, -s1[:, None] * c1)
+    return a.reshape(count, 2 * k, 8), xn.reshape(count, 2 * k), t1, (s2, c2), ok
+
+
+def _matrices(h: np.ndarray) -> np.ndarray:
+    """(c, 8) entry rows as (c, 3, 3) matrices with the last entry 1."""
+    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1).reshape(-1, 3, 3)
 
 
 def dlt_solve(correspondences: list[Correspondence]) -> Homography:
@@ -137,34 +155,44 @@ def dlt_solve(correspondences: list[Correspondence]) -> Homography:
         raise ValueError(f"need at least 4 correspondences, got {n}")
     src = np.array([(c.a.p.u, c.a.p.v) for c in correspondences])
     dst = np.array([(c.b.p.u, c.b.p.v) for c in correspondences])
-    if n == 4:
-        _check_minimal_sample(src)
-    else:
+    if n > 4:
         _check_spread(src)
-    src_n, t1 = _hartley_transform(src)
-    dst_n, t2 = _hartley_transform(dst)
+    a, rhs, t1, (s2, c2), ok = _dlt_system(src[None], dst[None])
+    if not ok[0]:
+        raise DegenerateConfiguration("collinear source triple or coincident points")
 
-    a = np.zeros((2 * n, 8))
-    b = np.empty(2 * n)
-    u, v = src_n[:, 0], src_n[:, 1]
-    x, y = dst_n[:, 0], dst_n[:, 1]
-    a[0::2, 0] = u
-    a[0::2, 1] = v
-    a[0::2, 2] = 1.0
-    a[0::2, 6] = -u * x
-    a[0::2, 7] = -v * x
-    a[1::2, 3] = u
-    a[1::2, 4] = v
-    a[1::2, 5] = 1.0
-    a[1::2, 6] = -u * y
-    a[1::2, 7] = -v * y
-    b[0::2] = x
-    b[1::2] = y
-
-    h, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
+    h, _, rank, sv = np.linalg.lstsq(a[0], rhs[0], rcond=None)
     if rank < 8 or sv[-1] <= 0.0 or sv[0] / sv[-1] > MAX_DESIGN_CONDITION:
         raise IllConditioned("DLT system condition estimate exceeds bound")
-    h_n = np.array(
-        [[h[0], h[1], h[2]], [h[3], h[4], h[5]], [h[6], h[7], 1.0]]
-    )
-    return Homography(np.linalg.inv(t2) @ h_n @ t1)
+    t2 = _similarity(s2, -s2[:, None] * c2)[0]
+    return Homography(np.linalg.inv(t2) @ _matrices(h[None])[0] @ t1[0])
+
+
+def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized DLT on a batch of 4-point samples.
+
+    src, dst: (c, 4, 2). Returns (models (c, 3, 3), valid (c,)). Invalid rows
+    (collinear sources, coincident points, singular systems) carry garbage
+    models and must be ignored by the caller. Each valid model matches
+    :func:`dlt_solve` on the same sample up to rounding: this path solves the
+    square system directly and inverts the target normalization analytically.
+    """
+    a, rhs, t1, (s2, c2), valid = _dlt_system(src, dst)
+
+    a[~valid] = np.eye(8)
+    try:
+        h = np.linalg.solve(a, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # rare: an exactly singular system slipped past the area check
+        h = np.zeros((len(a), 8))
+        for idx in range(len(a)):
+            try:
+                h[idx] = np.linalg.solve(a[idx], rhs[idx])
+            except np.linalg.LinAlgError:
+                valid[idx] = False
+    finite = np.isfinite(h).all(axis=1)
+    valid &= finite
+    h[~finite] = 0.0
+
+    # the target normalization, inverted analytically
+    return _similarity(1.0 / s2, c2) @ _matrices(h) @ t1, valid

@@ -21,8 +21,9 @@ from .geometry import (
     Correspondence,
     Homography,
     Point2,
+    apply_homogeneous,
     normalize_angle,
-    project,
+    project_points,
 )
 
 _CENTRAL_FRACTION = 0.8
@@ -88,13 +89,12 @@ def jacobian_byproducts(truth: Homography, p: Point2) -> LocalByproducts:
     line at infinity.
     """
     m = truth.m
-    x, y = p.u, p.v
-    big_w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    big_x, big_y, big_w = apply_homogeneous(m, p.u, p.v)
     fro = math.sqrt(float(np.sum(m**2)))
     if not abs(big_w) > SINGULARITY_RTOL * fro:
         raise DegenerateProjection(f"point {p} projects to infinity")
-    xp = (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / big_w
-    yp = (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / big_w
+    xp = big_x / big_w
+    yp = big_y / big_w
     j11 = (m[0, 0] - xp * m[2, 0]) / big_w
     j12 = (m[0, 1] - xp * m[2, 1]) / big_w
     j21 = (m[1, 0] - yp * m[2, 0]) / big_w
@@ -112,13 +112,17 @@ def jacobian_byproducts(truth: Homography, p: Point2) -> LocalByproducts:
     return LocalByproducts(math.sqrt(s[0] * s[1]), normalize_angle(angle), True)
 
 
-def _sample_inlier_sources(spec: SceneSpec, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Source points from the central region whose projections stay in bounds."""
+def _sample_inlier_sources(
+    spec: SceneSpec, rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Source points from the central region whose projections stay in bounds.
+
+    Returns the (count, 2) sources and their exact images under the truth.
+    """
     width, height = spec.image_bounds
     margin = (1.0 - _CENTRAL_FRACTION) / 2.0
-    m = spec.truth.m
-    fro = math.sqrt(float(np.sum(m**2)))
-    accepted: list[np.ndarray] = []
+    sources: list[np.ndarray] = []
+    images: list[np.ndarray] = []
     n_acc = 0
     attempts = 0
     rejects = 0
@@ -127,24 +131,21 @@ def _sample_inlier_sources(spec: SceneSpec, rng: np.random.Generator, count: int
         draw = max(count - n_acc, 32)
         xs = rng.uniform(margin * width, (1.0 - margin) * width, size=draw)
         ys = rng.uniform(margin * height, (1.0 - margin) * height, size=draw)
-        big_w = m[2, 0] * xs + m[2, 1] * ys + m[2, 2]
-        safe = np.abs(big_w) > SINGULARITY_RTOL * fro
-        big_w_safe = np.where(safe, big_w, 1.0)
-        px = (m[0, 0] * xs + m[0, 1] * ys + m[0, 2]) / big_w_safe
-        py = (m[1, 0] * xs + m[1, 1] * ys + m[1, 2]) / big_w_safe
-        ok = safe & (px >= 0.0) & (px <= width) & (py >= 0.0) & (py <= height)
+        pts = np.column_stack([xs, ys])
+        img, ok = project_points(spec.truth.m, pts)
+        ok &= ((img >= 0.0) & (img <= (width, height))).all(axis=1)
         attempts += draw
         rejects += int(draw - ok.sum())
         if ok.any():
-            pts = np.column_stack([xs[ok], ys[ok]])
-            accepted.append(pts)
-            n_acc += pts.shape[0]
+            sources.append(pts[ok])
+            images.append(img[ok])
+            n_acc += sources[-1].shape[0]
         if n_acc < count and attempts >= min_probe and rejects > 0.5 * attempts:
             raise InfeasibleSpec(
                 f"truth maps the central source region out of bounds for "
                 f"{rejects}/{attempts} attempts"
             )
-    return np.concatenate(accepted, axis=0)[:count]
+    return np.concatenate(sources, axis=0)[:count], np.concatenate(images, axis=0)[:count]
 
 
 def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
@@ -167,16 +168,14 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
 
     correspondences: list[Correspondence] = []
     if n_in > 0:
-        sources = _sample_inlier_sources(spec, rng, n_in)
+        sources, images = _sample_inlier_sources(spec, rng, n_in)
         log_lo, log_hi = math.log(0.5), math.log(2.0)
-        for sx, sy in sources:
-            a_p = Point2(float(sx), float(sy))
-            b_p = project(spec.truth, a_p)
+        for (sx, sy), (bx, by) in zip(sources.tolist(), images.tolist()):
+            a_p = Point2(sx, sy)
             if spec.pixel_noise_sigma > 0.0:
-                b_p = Point2(
-                    b_p.u + rng.normal(0.0, spec.pixel_noise_sigma),
-                    b_p.v + rng.normal(0.0, spec.pixel_noise_sigma),
-                )
+                bx += rng.normal(0.0, spec.pixel_noise_sigma)
+                by += rng.normal(0.0, spec.pixel_noise_sigma)
+            b_p = Point2(bx, by)
             local = jacobian_byproducts(spec.truth, a_p)
             s1 = math.exp(rng.uniform(log_lo, log_hi))
             theta1 = rng.uniform(-math.pi, math.pi)

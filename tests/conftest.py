@@ -34,6 +34,14 @@ def exact_pool(truth: Homography, points) -> list:
     return [make_point_correspondence(truth, p) for p in points]
 
 
+def pool_from_arrays(src: np.ndarray, dst: np.ndarray) -> list:
+    """Point correspondences ``src[i] -> dst[i]`` with placeholder byproducts."""
+    return [
+        Correspondence(AffineFeature(Point2(*a), 1.0, 0.0), AffineFeature(Point2(*b), 1.0, 0.0))
+        for a, b in zip(src.tolist(), dst.tolist())
+    ]
+
+
 def random_points(rng: np.random.Generator, n: int, width=640.0, height=480.0):
     return [
         Point2(rng.uniform(0.05 * width, 0.95 * width), rng.uniform(0.05 * height, 0.95 * height))

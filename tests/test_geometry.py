@@ -19,7 +19,7 @@ from hsolo import (
     project,
     reprojection_error,
 )
-from hsolo.geometry import normalize_angle, pool_arrays, transfer_errors
+from hsolo.geometry import normalize_angle, pool_arrays, project_points, transfer_errors
 
 from conftest import exact_pool, random_points, random_truth
 
@@ -212,7 +212,7 @@ class TestPoolArrays:
         src, dst = pool_arrays(pool)
         errs = transfer_errors(probe.m, src, dst)
         expected = np.array([reprojection_error(probe, c) for c in pool])
-        np.testing.assert_allclose(errs, expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(errs, expected)
 
     def test_transfer_errors_infinite_at_degenerate_points(self):
         h = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [0.01, 0, 1.0]]))
@@ -221,3 +221,10 @@ class TestPoolArrays:
         errs = transfer_errors(h.m, src, dst)
         assert errs[0] == math.inf
         assert math.isfinite(errs[1])
+        xy, ok = project_points(h.m, src)
+        assert ok.tolist() == [False, True]
+        assert np.all(xy[0] == math.inf)
+        with pytest.raises(DegenerateProjection):
+            project(h, Point2(-100.0, 7.0))
+        q = project(h, Point2(1.0, 1.0))
+        assert (q.u, q.v) == tuple(xy[1])

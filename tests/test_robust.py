@@ -104,6 +104,8 @@ class TestRansacConfig:
         with pytest.raises(ValueError):
             RansacConfig(sample_size=3)
         with pytest.raises(ValueError):
+            RansacConfig(sample_size=5)
+        with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
 
 

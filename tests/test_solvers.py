@@ -1,4 +1,4 @@
-"""Tests for the one-match similarity solver and the 4+ point DLT solver."""
+"""Tests for the one-match similarity solver and the DLT solvers (4+ points and batched 4-point)."""
 
 import math
 
@@ -11,17 +11,16 @@ from hsolo import (
     DegenerateConfiguration,
     Homography,
     Point2,
-    SimilarityParts,
     dlt_solve,
     invert,
     project,
     reprojection_error,
-    similarity_to_matrix,
     single_match_homography,
 )
-from hsolo.geometry import pool_arrays, transfer_errors
+from hsolo.geometry import pool_arrays, project_points, transfer_errors
+from hsolo.solvers import solve_minimal_batch
 
-from conftest import exact_pool, random_points, random_truth
+from conftest import exact_pool, pool_from_arrays, random_points, random_truth
 
 
 def random_feature(rng, width=640.0, height=480.0) -> AffineFeature:
@@ -30,28 +29,6 @@ def random_feature(rng, width=640.0, height=480.0) -> AffineFeature:
         math.exp(rng.uniform(math.log(0.25), math.log(4.0))),
         rng.uniform(-math.pi, math.pi),
     )
-
-
-class TestSimilarityParts:
-    def test_matrix_maps_origin_to_translation(self):
-        h = similarity_to_matrix(SimilarityParts(2.0, 0.5, 7.0, -3.0))
-        q = project(h, Point2(0.0, 0.0))
-        assert (q.u, q.v) == (7.0, -3.0)
-
-    def test_linear_part_is_scaled_rotation(self):
-        s, theta = 1.5, math.pi / 3
-        m = similarity_to_matrix(SimilarityParts(s, theta, 0.0, 0.0)).m
-        v = m[:2, :2] @ np.array([1.0, 0.0])
-        np.testing.assert_allclose(
-            v, [s * math.cos(theta), s * math.sin(theta)], atol=1e-15
-        )
-        assert np.hypot(m[0, 0], m[1, 0]) == pytest.approx(s)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            SimilarityParts(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            SimilarityParts(-1.0, 0.0, 0.0, 0.0)
 
 
 class TestSingleMatchHomography:
@@ -148,3 +125,42 @@ class TestDltSolve:
         )
         with pytest.raises(DegenerateConfiguration):
             dlt_solve(pool)
+
+
+class TestSolveMinimalBatch:
+    """The RANSAC minimal solver against the least-squares DLT on the same samples."""
+
+    def test_matches_dlt_solve_in_general_position(self, rng):
+        # each sample: one random point per image quadrant, and a random
+        # desk-scale map's images of them moved by up to 5 px so the 4-point
+        # fit is not the map itself
+        corners = np.array([[160.0, 120.0], [480.0, 120.0], [480.0, 360.0], [160.0, 360.0]])
+        src = corners + rng.uniform(-120.0, 120.0, size=(300, 4, 2))
+        dst = np.empty_like(src)
+        for i in range(len(src)):
+            dst[i] = project_points(random_truth(rng).m, src[i])[0] + rng.uniform(-5.0, 5.0, (4, 2))
+        models, valid = solve_minimal_batch(src, dst)
+        assert valid.all()
+        for i in range(len(src)):
+            want = dlt_solve(pool_from_arrays(src[i], dst[i])).m
+            got = Homography(models[i]).m
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), i
+
+    def test_invalid_exactly_where_dlt_solve_is_degenerate(self, rng):
+        src = rng.uniform(0.0, 640.0, size=(120, 4, 2))
+        dst = src + rng.uniform(-5.0, 5.0, size=src.shape)
+        # exact collinear triples: integer points on a line through point 0
+        step = rng.integers(1, 20, size=(40, 2)).astype(float)
+        for i in range(40):
+            src[i, :3] = np.round(src[i, 0]) + np.outer([0.0, 1.0, 3.0], step[i])
+        src[40:80, 2] = src[40:80, 1]  # two coincident source points
+        dst[80:100] = dst[80:100, :1]  # all four targets coincident
+        _, valid = solve_minimal_batch(src, dst)
+        for i in range(len(src)):
+            try:
+                dlt_solve(pool_from_arrays(src[i], dst[i]))
+                degenerate = False
+            except DegenerateConfiguration:
+                degenerate = True
+            assert valid[i] == (not degenerate), i
+        assert not valid[:100].any() and valid[100:].all()
