@@ -50,6 +50,8 @@ from .geometry import (
     Correspondence,
     Homography,
     Point2,
+    Pool,
+    as_pool,
     compose,
     invert,
     project,
@@ -95,6 +97,7 @@ __all__ = [
     "LocalByproducts",
     "NoModelFound",
     "Point2",
+    "Pool",
     "RansacConfig",
     "Refinement",
     "SceneSpec",
@@ -103,6 +106,7 @@ __all__ = [
     "SummaryRow",
     "TheoryRow",
     "TrialRecord",
+    "as_pool",
     "compose",
     "dbscan_1d",
     "dlt_solve",

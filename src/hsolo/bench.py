@@ -326,7 +326,7 @@ def _run_file(
         c = int(mask.sum())
         w_true = float(mask.mean())
         run_methods, skipped = _runnable(methods, c, h_cfg, trials, notes, f": {c} flagged inliers")
-        eval_pool = [loaded.correspondences[i] for i in np.flatnonzero(mask)]
+        eval_pool = loaded.correspondences[mask]
     else:
         w_true = float("nan")
         eval_pool = loaded.correspondences

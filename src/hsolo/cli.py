@@ -193,7 +193,7 @@ def _cmd_calibrate(args) -> int:
     # error; with ground truth available, use the inlier seeds so the fence
     # marks where seeds stop looking like inliers
     if loaded.inlier_mask is not None:
-        seeds = [c for c, flag in zip(pool, loaded.inlier_mask) if flag]
+        seeds = pool[loaded.inlier_mask]
         seed_set = "flagged-inliers"
     else:
         seeds = pool

@@ -10,21 +10,21 @@ iteration budget as support improves. Seeds are evaluated in blocks (sketches,
 pool errors and gate medians for many seeds in one array pass), then replayed
 in order, so the budget and results are those of a one-at-a-time loop. The
 winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt) pass
-over its inliers.
+over its inliers. Pools are taken as a :class:`~hsolo.geometry.Pool` or as a
+sequence of correspondences, converted once by ``as_pool``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InsufficientData, NoModelFound, SingularMatrix
 from .geometry import (
-    SINGULARITY_RTOL, Correspondence, Homography, apply_homogeneous, pool_arrays, transfer_errors
+    SINGULARITY_RTOL, Homography, Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors
 )
 from .robust import (
     DEFAULT_MAX_ITERATIONS,
@@ -123,7 +123,7 @@ def _filtered_from_errors(errors: np.ndarray, n_f: int) -> FilteredSet:
     return FilteredSet(indices=idx, errors=errs, median_error=float(_median_of_smallest(errs, take)))
 
 
-def filter_by_model(h_prime: Homography, pool: list[Correspondence], n_f: int) -> FilteredSet:
+def filter_by_model(h_prime: Homography, pool, n_f: int) -> FilteredSet:
     """Select the min(n_f, len(pool)) correspondences with lowest error under h_prime.
 
     Selection is exact: ties in error are broken by pool index, and
@@ -139,9 +139,7 @@ def filter_by_model(h_prime: Homography, pool: list[Correspondence], n_f: int) -
     return _filtered_from_errors(transfer_errors(h_prime.m, src, dst), n_f)
 
 
-def _seed_block(
-    seeds: Sequence[Correspondence], src: np.ndarray, dst: np.ndarray, n_f: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tuple[np.ndarray, np.ndarray]:
     """Pool errors under each seed's similarity sketch, and each seed's gate median.
 
     Returns ``(errors, medians)``. Row i of ``errors`` holds the error of
@@ -152,17 +150,14 @@ def _seed_block(
     rejects (non-finite or singular) gets +inf throughout, so it fails every
     gate instead of raising.
     """
-    cols = np.array(
-        [(c.a.p.u, c.a.p.v, c.b.p.u, c.b.p.v, c.a.scale, c.b.scale, c.a.angle, c.b.angle) for c in seeds]
-    ).reshape(-1, 8)
-    u1, v1, u2, v2 = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
     # single_match_homography's arithmetic, one column per entry; math.cos and
     # math.sin because numpy's vector versions may round differently
-    delta = (cols[:, 7] - cols[:, 6]).tolist()
+    delta = (t2 - t1).tolist()
     cos_d = np.array([math.cos(d) for d in delta])
     sin_d = np.array([math.sin(d) for d in delta])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        r = cols[:, 5] / cols[:, 4]
+        r = s2 / s1
         l00, l01 = r * cos_d, -r * sin_d
         l10, l11 = r * sin_d, r * cos_d
         tx = u2 - (l00 * u1 + l01 * v1)
@@ -197,9 +192,7 @@ def _seed_block(
     return errors, _median_of_smallest(np.partition(errors, ranks, axis=1), take)
 
 
-def seed_medians(
-    seeds: Sequence[Correspondence], pool: Sequence[Correspondence], n_f: int
-) -> np.ndarray:
+def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
     """Gate median of each seed: the quantity ``hsolo_estimate`` compares with epsilon_r.
 
     For every seed, the median error of the min(n_f, len(pool)) pool entries
@@ -210,6 +203,7 @@ def seed_medians(
         raise ValueError("pool must be non-empty")
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
+    seeds = as_pool(seeds)
     src, dst = pool_arrays(pool)
     rows = _max_seed_block(len(pool))
     medians = [_seed_block(seeds[i : i + rows], src, dst, n_f)[1] for i in range(0, len(seeds), rows)]
@@ -280,7 +274,7 @@ def _residuals_and_jacobian(params: np.ndarray, src: np.ndarray, dst: np.ndarray
     return r, jac
 
 
-def refine_model(h: Homography, inliers: list[Correspondence]) -> Refinement:
+def refine_model(h: Homography, inliers) -> Refinement:
     """Minimize the sum of squared reprojection errors over the inlier set.
 
     Levenberg-Marquardt on the 8 free entries (bottom-right fixed at 1):
@@ -357,7 +351,7 @@ def refine_model(h: Homography, inliers: list[Correspondence]) -> Refinement:
     return Refinement(refined, initial_cost, best_cost, attempts, degraded=False)
 
 
-def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> EstimationResult:
+def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     """Estimate a homography from a correspondence pool with byproducts.
 
     Shuffles the pool once, then per outer iteration: build the similarity
@@ -380,13 +374,14 @@ def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> Estimatio
     RANSAC reaches a support of 4.
     """
     t0 = time.perf_counter()
+    pool = as_pool(pool)
     n = len(pool)
     if n < 5:
         raise ValueError(f"pool must hold >= 5 correspondences, got {n}")
 
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
-    shuffled = [pool[i] for i in perm]
+    shuffled = pool[perm]
     src, dst = pool_arrays(shuffled)
 
     def outer_budget(w: float) -> int:
@@ -417,9 +412,7 @@ def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> Estimatio
             fs = _filtered_from_errors(errors[j], config.n_f)
             inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seed)
             try:
-                inner = ransac_homography(
-                    [shuffled[i] for i in fs.indices], shuffled, config.w_f, inner_config
-                )
+                inner = ransac_homography(shuffled[fs.indices], shuffled, config.w_f, inner_config)
             except NoModelFound:
                 continue
             if inner.support > best_support:
@@ -433,7 +426,7 @@ def hsolo_estimate(pool: list[Correspondence], config: HsoloConfig) -> Estimatio
 
     model = best.model
     inlier_idx = best.inlier_indices
-    refinement = refine_model(model, [shuffled[j] for j in inlier_idx])
+    refinement = refine_model(model, shuffled[inlier_idx])
     if not refinement.degraded:
         errs = transfer_errors(refinement.model.m, src, dst)
         refined_idx = np.flatnonzero(errs <= config.epsilon)

@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from .exceptions import FileFormatError, InvalidFeature
-from .geometry import AffineFeature, Correspondence, Point2
+from .geometry import Pool, as_pool
 from .robust import EstimationResult
 
 CORR_HEADER = "hsolo-corr v1"
@@ -40,12 +40,13 @@ def _fmt(x: float) -> str:
 class LoadedCorrespondences:
     """A parsed correspondence file.
 
+    ``correspondences`` is the file's rows as a :class:`~hsolo.geometry.Pool`.
     ``inlier_mask`` is None when the file carries no ground-truth column.
     ``has_byproducts`` is False for point-only files, whose features carry
     placeholder scale 1 / angle 0.
     """
 
-    correspondences: list[Correspondence]
+    correspondences: Pool
     inlier_mask: np.ndarray | None
     has_byproducts: bool
 
@@ -64,82 +65,78 @@ def load_correspondences(path) -> LoadedCorrespondences:
             )
         raise FileFormatError(f"missing {CORR_HEADER!r} header", line=1)
 
-    correspondences: list[Correspondence] = []
+    rows: list[list[float]] = []
+    linenos: list[int] = []
     flags: list[bool] = []
     n_fields: int | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped:
             continue
-        fields = [f.strip() for f in stripped.split(",")]
-        if n_fields is None:
-            if len(fields) not in (_POINT_FIELDS, _POINT_FIELDS + 1, _FULL_FIELDS, _FULL_FIELDS + 1):
-                raise FileFormatError(
-                    f"expected 4, 5, 8 or 9 comma-separated fields, got {len(fields)}", line=lineno
-                )
-            n_fields = len(fields)
-        elif len(fields) != n_fields:
-            raise FileFormatError(
-                f"expected {n_fields} fields as on previous lines, got {len(fields)}", line=lineno
-            )
-        has_flag = n_fields in (_POINT_FIELDS + 1, _FULL_FIELDS + 1)
-        full = n_fields >= _FULL_FIELDS
-        if has_flag:
-            flag_field = fields[-1]
-            if flag_field not in ("0", "1"):
-                raise FileFormatError(
-                    f"ground-truth flag must be 0 or 1, got {flag_field!r}", line=lineno
-                )
-            flags.append(flag_field == "1")
-            fields = fields[:-1]
         try:
-            values = [float(f) for f in fields]
-        except ValueError as exc:
-            raise FileFormatError(f"non-numeric field: {exc}", line=lineno) from None
-        try:
-            if full:
-                u1, v1, s1, t1, u2, v2, s2, t2 = values
-                corr = Correspondence(
-                    AffineFeature(Point2(u1, v1), s1, t1),
-                    AffineFeature(Point2(u2, v2), s2, t2),
-                )
-            else:
-                u1, v1, u2, v2 = values
-                corr = Correspondence(
-                    AffineFeature(Point2(u1, v1), 1.0, 0.0),
-                    AffineFeature(Point2(u2, v2), 1.0, 0.0),
-                )
-        except (InvalidFeature, ValueError) as exc:
-            raise FileFormatError(str(exc), line=lineno) from None
-        correspondences.append(corr)
+            n_fields, values, flag = _parse_line(stripped, lineno, n_fields)
+        except FileFormatError:
+            _pool(rows, linenos)  # a bad value on an earlier line is reported first
+            raise
+        if flag is not None:
+            flags.append(flag)
+        if len(values) == _POINT_FIELDS:
+            u1, v1, u2, v2 = values
+            values = [u1, v1, 1.0, 0.0, u2, v2, 1.0, 0.0]
+        rows.append(values)
+        linenos.append(lineno)
 
     mask = np.array(flags, dtype=bool) if flags else None
     has_byproducts = n_fields in (_FULL_FIELDS, _FULL_FIELDS + 1)
-    return LoadedCorrespondences(correspondences, mask, has_byproducts)
+    return LoadedCorrespondences(_pool(rows, linenos), mask, has_byproducts)
 
 
-def save_correspondences(path, correspondences: list[Correspondence], inlier_mask=None) -> None:
+def _parse_line(stripped: str, lineno: int, n_fields: int | None):
+    """One row's field count, numeric fields and ground-truth flag (None without the column)."""
+    fields = [f.strip() for f in stripped.split(",")]
+    if n_fields is None:
+        if len(fields) not in (_POINT_FIELDS, _POINT_FIELDS + 1, _FULL_FIELDS, _FULL_FIELDS + 1):
+            raise FileFormatError(
+                f"expected 4, 5, 8 or 9 comma-separated fields, got {len(fields)}", line=lineno
+            )
+        n_fields = len(fields)
+    elif len(fields) != n_fields:
+        raise FileFormatError(
+            f"expected {n_fields} fields as on previous lines, got {len(fields)}", line=lineno
+        )
+    flag = None
+    if n_fields in (_POINT_FIELDS + 1, _FULL_FIELDS + 1):
+        flag_field = fields.pop()
+        if flag_field not in ("0", "1"):
+            raise FileFormatError(f"ground-truth flag must be 0 or 1, got {flag_field!r}", line=lineno)
+        flag = flag_field == "1"
+    try:
+        return n_fields, [float(f) for f in fields], flag
+    except ValueError as exc:
+        raise FileFormatError(f"non-numeric field: {exc}", line=lineno) from None
+
+
+def _pool(rows: list[list[float]], linenos: list[int]) -> Pool:
+    """The parsed rows as a pool; a row that breaks a feature invariant is reported by line."""
+    try:
+        return Pool(np.array(rows, dtype=float).reshape(-1, _FULL_FIELDS))
+    except (InvalidFeature, ValueError) as exc:
+        raise FileFormatError(str(exc), line=linenos[exc.row]) from None
+
+
+def save_correspondences(path, correspondences, inlier_mask=None) -> None:
     """Write a full-format correspondence file (17 significant digits).
 
-    ``inlier_mask``, when given, must match the list length and adds the
-    trailing ground-truth column.
+    ``correspondences`` is a :class:`Pool` or a sequence of correspondences.
+    ``inlier_mask``, when given, must match its length and adds the trailing
+    ground-truth column.
     """
-    if inlier_mask is not None and len(inlier_mask) != len(correspondences):
-        raise ValueError(
-            f"mask length {len(inlier_mask)} != {len(correspondences)} correspondences"
-        )
+    rows = as_pool(correspondences).rows
+    if inlier_mask is not None and len(inlier_mask) != len(rows):
+        raise ValueError(f"mask length {len(inlier_mask)} != {len(rows)} correspondences")
     out = [CORR_HEADER]
-    for i, c in enumerate(correspondences):
-        fields = [
-            _fmt(c.a.p.u),
-            _fmt(c.a.p.v),
-            _fmt(c.a.scale),
-            _fmt(c.a.angle),
-            _fmt(c.b.p.u),
-            _fmt(c.b.p.v),
-            _fmt(c.b.scale),
-            _fmt(c.b.angle),
-        ]
+    for i, row in enumerate(rows.tolist()):
+        fields = [_fmt(x) for x in row]
         if inlier_mask is not None:
             fields.append("1" if inlier_mask[i] else "0")
         out.append(",".join(fields))

@@ -1,4 +1,4 @@
-"""Core projective-geometry types and exact point-level operations.
+"""Core projective-geometry types, the correspondence pool, and exact point-level operations.
 
 Pixel coordinate convention: origin at the top-left image corner, x to the
 right, y down. Every operation here is covariant with that choice, so nothing
@@ -11,6 +11,7 @@ functions, so values can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,16 +207,83 @@ def invert(h: Homography) -> Homography:
     return Homography(inv)
 
 
+def _correspondence(row) -> Correspondence:
+    u1, v1, s1, t1, u2, v2, s2, t2 = row
+    return Correspondence(AffineFeature(Point2(u1, v1), s1, t1), AffineFeature(Point2(u2, v2), s2, t2))
+
+
+class Pool(Sequence):
+    """An immutable correspondence pool: one row per match, in the file's columns.
+
+    ``rows`` is a read-only (n, 8) float array with columns u1, v1, s1,
+    theta1, u2, v2, s2, theta2. Construction checks all rows at once against
+    the invariants of :class:`Correspondence` (raising its error for the
+    first bad row, with the row index as ``exc.row``) and wraps the angles
+    as it does, bit for bit. ``pool[i]`` is row i as a
+    :class:`Correspondence`; slices, index arrays and boolean masks give a
+    :class:`Pool`. Pools are equal when their rows are.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = np.array(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 8:
+            raise ValueError(f"pool rows must have shape (n, 8), got {rows.shape}")
+        bad = ~(np.isfinite(rows).all(axis=1) & (rows[:, 2::4] > 0.0).all(axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            try:
+                _correspondence(rows[i].tolist())
+            except (InvalidFeature, ValueError) as exc:
+                exc.row = i
+                raise
+        # normalize_angle's arithmetic on both angle columns
+        a = np.remainder(rows[:, 3::4] + math.pi, _TWO_PI) - math.pi
+        rows[:, 3::4] = np.where(a >= math.pi, a - _TWO_PI, a)
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return _correspondence(self.rows[key].tolist())
+        rows = self.rows[key]
+        if rows.ndim != 2:
+            raise IndexError(f"pool index {key!r} does not select rows")
+        rows.flags.writeable = False
+        pool = Pool.__new__(Pool)  # rows of a valid pool need no second check
+        pool.rows = rows
+        return pool
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Pool):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    def __repr__(self) -> str:
+        return f"Pool(n={len(self)})"
+
+
+def as_pool(pool) -> Pool:
+    """``pool`` as a :class:`Pool`: a pool as is, a sequence of correspondences converted once."""
+    if isinstance(pool, Pool):
+        return pool
+    rows = [(c.a.p.u, c.a.p.v, c.a.scale, c.a.angle, c.b.p.u, c.b.p.v, c.b.scale, c.b.angle) for c in pool]
+    return Pool(np.array(rows, dtype=float).reshape(-1, 8))
+
+
 # ---------------------------------------------------------------------------
 # Array helpers shared by the estimation loops. These operate on plain float
 # arrays so hot paths avoid per-point object traffic.
 
 
 def pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
-    """Split correspondences into (n, 2) source and target coordinate arrays."""
-    src = np.array([(c.a.p.u, c.a.p.v) for c in pool], dtype=float).reshape(-1, 2)
-    dst = np.array([(c.b.p.u, c.b.p.v) for c in pool], dtype=float).reshape(-1, 2)
-    return src, dst
+    """(n, 2) source and target point columns of a pool (read-only views)."""
+    rows = as_pool(pool).rows
+    return rows[:, 0:2], rows[:, 4:6]
 
 
 def project_points(m: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateConfiguration, IllConditioned, NoModelFound, SingularMatrix
-from .geometry import SINGULARITY_RTOL, Correspondence, Homography, pool_arrays, transfer_errors
+from .geometry import SINGULARITY_RTOL, Homography, Pool, as_pool, pool_arrays, transfer_errors
 from .solvers import dlt_solve, solve_minimal_batch
 
 DEFAULT_MAX_ITERATIONS = 10_000_000
@@ -117,29 +117,30 @@ def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.n
 def _support_counts(
     models: np.ndarray, valid: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    """Inlier counts of each model over the scoring points."""
+    """Inlier counts of each model over the scoring points.
+
+    The squared errors are formed in place in the (c, 3, n) projection, rounding
+    as ``dx * dx + dy * dy`` with ``dx = x / w - u`` does, so a batch needs one buffer.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         proj = models @ src_h.T  # (c, 3, n)
         fro = np.sqrt((models**2).sum(axis=(1, 2)))
         w = proj[:, 2, :]
         bad = ~(np.abs(w) > SINGULARITY_RTOL * fro[:, None])
-        w_safe = np.where(bad, 1.0, w)
-        dx = proj[:, 0, :] / w_safe - dst[:, 0]
-        dy = proj[:, 1, :] / w_safe - dst[:, 1]
-        e2 = dx * dx + dy * dy
+        w[bad] = 1.0
+        d = proj[:, :2]
+        d /= w[:, None]
+        d -= dst.T
+        d *= d
+        e2 = d[:, 0] + d[:, 1]
         e2[bad] = np.inf
         counts = (e2 <= epsilon * epsilon).sum(axis=1)
     counts[~valid] = 0
     return counts.astype(np.int64)
 
 
-def ransac_homography(
-    sample_pool: list[Correspondence],
-    score_pool: list[Correspondence],
-    w_init: float,
-    config: RansacConfig,
-) -> EstimationResult:
-    """Adaptive RANSAC with separate sampling and scoring pools.
+def ransac_homography(sample_pool, score_pool, w_init: float, config: RansacConfig) -> EstimationResult:
+    """Adaptive RANSAC with separate sampling and scoring pools (each a Pool or a sequence).
 
     Draws 4 distinct correspondences (``config.sample_size``) per iteration from
     ``sample_pool`` (a degenerate sample consumes its iteration), solves the
@@ -152,6 +153,7 @@ def ransac_homography(
     Raises :class:`NoModelFound` if no candidate reaches a support of 4.
     """
     t0 = time.perf_counter()
+    sample_pool, score_pool = as_pool(sample_pool), as_pool(score_pool)
     ns = len(sample_pool)
     if ns < config.sample_size:
         raise ValueError(f"sample pool has {ns} < {config.sample_size} correspondences")
@@ -213,18 +215,14 @@ def ransac_homography(
 
 
 def _consensus_refit(
-    model: Homography,
-    score_pool: list[Correspondence],
-    f_src: np.ndarray,
-    f_dst: np.ndarray,
-    epsilon: float,
+    model: Homography, score_pool: Pool, f_src: np.ndarray, f_dst: np.ndarray, epsilon: float
 ) -> tuple[Homography, np.ndarray]:
     """Refit on all scoring-pool inliers; keep the original if that degrades support."""
     errs = transfer_errors(model.m, f_src, f_dst)
     idx = np.flatnonzero(errs <= epsilon)
     if idx.size >= 4:
         try:
-            refit = dlt_solve([score_pool[i] for i in idx])
+            refit = dlt_solve(score_pool[idx])
         except (DegenerateConfiguration, IllConditioned, SingularMatrix):
             refit = None
         if refit is not None:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .exceptions import DegenerateConfiguration, IllConditioned, InvalidFeature
-from .geometry import Correspondence, Homography
+from .geometry import Correspondence, Homography, pool_arrays
 
 # A minimal-sample source triple whose triangle area is below this fraction of
 # the sample's bounding-box area counts as collinear.
@@ -136,12 +136,11 @@ def _matrices(h: np.ndarray) -> np.ndarray:
     return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1).reshape(-1, 3, 3)
 
 
-def dlt_solve(correspondences: list[Correspondence]) -> Homography:
-    """Least-squares homography from 4 or more correspondences.
+def dlt_solve(correspondences) -> Homography:
+    """Least-squares homography from a pool (or sequence) of 4 or more correspondences.
 
-    Solves the stacked 2n x 8 linear system (last entry pinned to 1) on
-    Hartley-normalized points, then de-normalizes. Exact for 4 noise-free
-    correspondences in general position.
+    Solves the stacked 2n x 8 linear system (last entry pinned to 1) on Hartley-normalized
+    points, then de-normalizes. Exact for 4 noise-free correspondences in general position.
 
     Raises
     ------
@@ -149,13 +148,13 @@ def dlt_solve(correspondences: list[Correspondence]) -> Homography:
         Collinear or coincident source points.
     IllConditioned
         The normalized design matrix is too badly conditioned to trust.
+    SingularMatrix
+        The fit is singular to tolerance, e.g. three targets collinear but not their sources.
     """
-    n = len(correspondences)
-    if n < 4:
-        raise ValueError(f"need at least 4 correspondences, got {n}")
-    src = np.array([(c.a.p.u, c.a.p.v) for c in correspondences])
-    dst = np.array([(c.b.p.u, c.b.p.v) for c in correspondences])
-    if n > 4:
+    src, dst = pool_arrays(correspondences)
+    if len(src) < 4:
+        raise ValueError(f"need at least 4 correspondences, got {len(src)}")
+    if len(src) > 4:
         _check_spread(src)
     a, rhs, t1, (s2, c2), ok = _dlt_system(src[None], dst[None])
     if not ok[0]:

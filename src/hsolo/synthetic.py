@@ -17,10 +17,9 @@ import numpy as np
 from .exceptions import DegenerateProjection, InfeasibleSpec
 from .geometry import (
     SINGULARITY_RTOL,
-    AffineFeature,
-    Correspondence,
     Homography,
     Point2,
+    Pool,
     apply_homogeneous,
     normalize_angle,
     project_points,
@@ -148,7 +147,7 @@ def _sample_inlier_sources(
     return np.concatenate(sources, axis=0)[:count], np.concatenate(images, axis=0)[:count]
 
 
-def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
+def generate_scene(spec: SceneSpec) -> tuple[Pool, np.ndarray]:
     """Generate a shuffled correspondence pool and its true-inlier mask.
 
     Exactly round(n_total * inlier_rate) inliers: sources uniform in the
@@ -166,17 +165,16 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
     n_in = round(spec.n_total * spec.inlier_rate)
     n_out = spec.n_total - n_in
 
-    correspondences: list[Correspondence] = []
+    # one row per correspondence, in the file's columns
+    rows = np.empty((spec.n_total, 8))
     if n_in > 0:
         sources, images = _sample_inlier_sources(spec, rng, n_in)
         log_lo, log_hi = math.log(0.5), math.log(2.0)
-        for (sx, sy), (bx, by) in zip(sources.tolist(), images.tolist()):
-            a_p = Point2(sx, sy)
+        for i, ((sx, sy), (bx, by)) in enumerate(zip(sources.tolist(), images.tolist())):
             if spec.pixel_noise_sigma > 0.0:
                 bx += rng.normal(0.0, spec.pixel_noise_sigma)
                 by += rng.normal(0.0, spec.pixel_noise_sigma)
-            b_p = Point2(bx, by)
-            local = jacobian_byproducts(spec.truth, a_p)
+            local = jacobian_byproducts(spec.truth, Point2(sx, sy))
             s1 = math.exp(rng.uniform(log_lo, log_hi))
             theta1 = rng.uniform(-math.pi, math.pi)
             s2 = s1 * local.scale_ratio
@@ -185,12 +183,7 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
             theta2 = theta1 + local.angle_delta
             if spec.angle_noise_sigma > 0.0:
                 theta2 += rng.normal(0.0, spec.angle_noise_sigma)
-            correspondences.append(
-                Correspondence(
-                    AffineFeature(a_p, s1, theta1),
-                    AffineFeature(b_p, s2, theta2),
-                )
-            )
+            rows[i] = (sx, sy, s1, theta1, bx, by, s2, theta2)
 
     log_lo, log_hi = math.log(spec.outlier_scale_range[0]), math.log(spec.outlier_scale_range[1])
     # Per outlier: u1, v1, u2, v2, log s1, log s2, theta1, theta2. A scalar
@@ -200,19 +193,15 @@ def generate_scene(spec: SceneSpec) -> tuple[list[Correspondence], np.ndarray]:
     lo = np.array([0.0, 0.0, 0.0, 0.0, log_lo, log_lo, -math.pi, -math.pi])
     hi = np.array([width, height, width, height, log_hi, log_hi, math.pi, math.pi])
     draws = lo + (hi - lo) * rng.random((n_out, 8))
-    for u1, v1, u2, v2, log_s1, log_s2, theta1, theta2 in draws.tolist():
-        correspondences.append(
-            Correspondence(
-                AffineFeature(Point2(u1, v1), math.exp(log_s1), theta1),
-                AffineFeature(Point2(u2, v2), math.exp(log_s2), theta2),
-            )
-        )
+    rows[n_in:] = draws[:, [0, 1, 4, 6, 2, 3, 5, 7]]
+    # math.exp, whose bits numpy's vector exp need not match
+    rows[n_in:, 2] = [math.exp(x) for x in draws[:, 4].tolist()]
+    rows[n_in:, 6] = [math.exp(x) for x in draws[:, 5].tolist()]
 
     mask = np.zeros(spec.n_total, dtype=bool)
     mask[:n_in] = True
     perm = rng.permutation(spec.n_total)
-    shuffled = [correspondences[i] for i in perm]
-    return shuffled, mask[perm]
+    return Pool(rows)[perm], mask[perm]
 
 
 def random_scene_truth(rng: np.random.Generator, image_bounds: tuple[float, float]) -> Homography:

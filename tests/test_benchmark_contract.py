@@ -3,13 +3,17 @@
 ``perfbench/tracer.py`` wraps package functions at the module attributes
 their callers look them up through (``TARGETS``). A cleanup that drops one of
 those imports would break traced benchmark runs with an ``AttributeError``;
-this test catches it in the unit suite instead.
+this test catches it in the unit suite instead. The benchmark also compares
+a loaded pool with the generated one and splits it into point arrays; the
+second test runs those steps as it does.
 """
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +40,32 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(importlib.import_module(mod), attr, None))
     ]
     assert not missing, f"perfbench tracer targets missing from the package: {missing}"
+
+
+def test_file_round_trip_as_the_benchmark_does_it(tmp_path):
+    """``perfbench/workloads.file_scenes``: generate, save, load, compare, split."""
+    from hsolo import fileio, geometry, synthetic
+
+    truth = synthetic.random_scene_truth(np.random.default_rng(11), (640.0, 480.0))
+    spec = synthetic.SceneSpec(
+        truth=truth,
+        image_bounds=(640.0, 480.0),
+        n_total=120,
+        inlier_rate=0.05,
+        pixel_noise_sigma=0.5,
+        scale_noise_sigma=0.05,
+        angle_noise_sigma=0.05,
+        seed=12,
+    )
+    pool, mask = synthetic.generate_scene(spec)
+    assert len(pool) == 120
+    path = str(tmp_path / "pool0.csv")
+    fileio.save_correspondences(path, pool, mask)
+    loaded = fileio.load_correspondences(path)
+    assert (loaded.correspondences != pool) is False
+    assert np.array_equal(loaded.inlier_mask, mask)
+    src, dst = geometry.pool_arrays(loaded.correspondences)
+    want_src, want_dst = geometry.pool_arrays(pool)
+    assert src.shape == dst.shape == (120, 2)
+    np.testing.assert_array_equal(src, want_src)
+    np.testing.assert_array_equal(dst, want_dst)

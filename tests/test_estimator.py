@@ -373,6 +373,7 @@ class TestHsoloEstimate:
             AffineFeature(Point2(100.0, 120.0), scales[0], 0.3),
             AffineFeature(Point2(300.0, 200.0), scales[1], -0.2),
         )
+        pool = list(pool)
         pool.insert(position, extreme)
         res = hsolo_estimate(pool, HsoloConfig(seed=0))
         assert res.support == len(res.inlier_indices) >= 0.9 * mask.sum()

@@ -17,6 +17,7 @@ from hsolo import (
     save_correspondences,
 )
 from hsolo.fileio import CORR_HEADER, RESULT_HEADER, save_result, write_result
+from hsolo.geometry import Pool
 from hsolo.robust import EstimationResult
 
 
@@ -56,6 +57,17 @@ class TestRoundTrip:
         back = load_correspondences(path).correspondences[0]
         assert back.a.p == c.a.p and back.b.p == c.b.p
         assert back.a.scale == c.a.scale and back.a.angle == c.a.angle
+
+    def test_loaded_pool_equals_generated_pool(self, tmp_path, scene):
+        _, pool, mask = scene
+        path = tmp_path / "pairs.csv"
+        save_correspondences(path, pool, inlier_mask=mask)
+        loaded = load_correspondences(path).correspondences
+        assert isinstance(pool, Pool) and isinstance(loaded, Pool)
+        assert loaded == pool
+        assert loaded.rows.tobytes() == pool.rows.tobytes()
+        save_correspondences(tmp_path / "from-list.csv", list(pool), inlier_mask=mask)
+        assert (tmp_path / "from-list.csv").read_bytes() == path.read_bytes()
 
     def test_without_mask_column(self, tmp_path, scene):
         _, pool, _ = scene
@@ -138,6 +150,40 @@ class TestLoader:
         with pytest.raises(FileFormatError) as ei:
             load_correspondences(path)
         assert ei.value.line == 2
+
+    # Row 2 (line 3) has scale -1; the row on line 5 has 7 fields.
+    ROWS = ["1,2,1,0,3,4,1,0", "1,2,-1,0,3,4,1,0", "1,2,1,0,3,4,1,0", "1,2,1,0,3,4,1"]
+
+    def test_bad_value_before_a_syntax_error_is_reported_first(self, tmp_path):
+        path = self.write(tmp_path, "\n".join([CORR_HEADER, *self.ROWS, ""]))
+        with pytest.raises(FileFormatError) as ei:
+            load_correspondences(path)
+        assert ei.value.line == 3
+        assert str(ei.value) == "line 3: feature scale must be > 0, got -1.0"
+
+    def test_syntax_error_before_a_bad_value_is_reported_first(self, tmp_path):
+        rows = [self.ROWS[0], self.ROWS[3], self.ROWS[1]]
+        path = self.write(tmp_path, "\n".join([CORR_HEADER, *rows, ""]))
+        with pytest.raises(FileFormatError) as ei:
+            load_correspondences(path)
+        assert ei.value.line == 3
+        assert "expected 8 fields" in str(ei.value)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("nan,2,1,0,3,4,1,0", "point coordinates must be finite, got (nan, 2.0)"),
+            ("1,2,1,inf,3,4,1,0", "feature angle must be finite, got inf"),
+            ("1,2,1,0,3,4,0,0", "feature scale must be > 0, got 0.0"),
+            ("1,1e999,3,4", "point coordinates must be finite, got (1.0, inf)"),
+        ],
+    )
+    def test_bad_value_reported_by_line_after_blank_lines(self, tmp_path, bad, message):
+        good = "1,2,1,0,3,4,1,0" if bad.count(",") == 7 else "1,2,3,4"
+        path = self.write(tmp_path, f"{CORR_HEADER}\n{good}\n\n{good}\n{bad}\n{good}\n")
+        with pytest.raises(FileFormatError) as ei:
+            load_correspondences(path)
+        assert str(ei.value) == f"line 5: {message}"
 
     def test_empty_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "")

@@ -19,7 +19,14 @@ from hsolo import (
     project,
     reprojection_error,
 )
-from hsolo.geometry import normalize_angle, pool_arrays, project_points, transfer_errors
+from hsolo.geometry import (
+    Pool,
+    as_pool,
+    normalize_angle,
+    pool_arrays,
+    project_points,
+    transfer_errors,
+)
 
 from conftest import exact_pool, random_points, random_truth
 
@@ -228,3 +235,130 @@ class TestPoolArrays:
             project(h, Point2(-100.0, 7.0))
         q = project(h, Point2(1.0, 1.0))
         assert (q.u, q.v) == tuple(xy[1])
+
+
+def _row_of(c: Correspondence) -> tuple:
+    return (c.a.p.u, c.a.p.v, c.a.scale, c.a.angle, c.b.p.u, c.b.p.v, c.b.scale, c.b.angle)
+
+
+def _raw_rows(rng, n: int) -> np.ndarray:
+    """Valid rows whose angles need wrapping, including the edges of [-pi, pi)."""
+    rows = np.column_stack(
+        [
+            rng.uniform(-1e3, 1e3, (n, 2)),
+            np.exp(rng.uniform(-5.0, 5.0, n)),
+            rng.uniform(-50.0, 50.0, n),
+            rng.uniform(-1e3, 1e3, (n, 2)),
+            np.exp(rng.uniform(-5.0, 5.0, n)),
+            rng.uniform(-50.0, 50.0, n),
+        ]
+    )
+    below_pi = math.nextafter(-math.pi, -math.inf)  # wraps to pi unless folded back
+    edges = [math.pi, -math.pi, below_pi, 3 * math.pi, -1e-17, 1e-300, -0.0, 2 * math.pi, 1e15][:n]
+    rows[: len(edges), 3] = edges
+    rows[: len(edges), 7] = edges[::-1]
+    return rows
+
+
+class TestPool:
+    # (column, value) pairs that each break one Correspondence invariant
+    BAD_CELLS = [
+        (0, math.nan),
+        (1, math.inf),
+        (2, 0.0),
+        (2, -0.0),
+        (2, -1.5),
+        (2, math.nan),
+        (3, -math.inf),
+        (4, -math.inf),
+        (5, math.nan),
+        (6, 0.0),
+        (6, math.inf),
+        (7, math.nan),
+    ]
+
+    @pytest.mark.parametrize("col, value", BAD_CELLS)
+    def test_bad_row_raises_the_correspondence_error(self, rng, col, value):
+        rows = _raw_rows(rng, 6)
+        rows[2, col] = value
+        rows[4, (col + 3) % 8] = math.nan  # a later bad row is not the one reported
+        with pytest.raises((ValueError, InvalidFeature)) as want:
+            u1, v1, s1, t1, u2, v2, s2, t2 = rows[2].tolist()
+            Correspondence(AffineFeature(Point2(u1, v1), s1, t1), AffineFeature(Point2(u2, v2), s2, t2))
+        with pytest.raises(want.type) as got:
+            Pool(rows)
+        assert type(got.value) is want.type
+        assert str(got.value) == str(want.value)
+        assert got.value.row == 2
+
+    def test_rows_must_be_n_by_8(self):
+        with pytest.raises(ValueError):
+            Pool(np.zeros((3, 7)))
+        assert len(Pool(np.empty((0, 8)))) == 0
+
+    def test_item_is_the_row_bit_for_bit(self, rng):
+        raw = _raw_rows(rng, 400)
+        pool = Pool(raw)
+        for i in range(len(pool)):
+            u1, v1, s1, t1, u2, v2, s2, t2 = raw[i].tolist()
+            want = Correspondence(
+                AffineFeature(Point2(u1, v1), s1, t1), AffineFeature(Point2(u2, v2), s2, t2)
+            )
+            assert np.array(_row_of(pool[i])).tobytes() == pool.rows[i].tobytes()
+            assert np.array(_row_of(want)).tobytes() == pool.rows[i].tobytes()
+        assert pool[-1] == pool[len(pool) - 1] == pool[np.int64(len(pool) - 1)]
+        with pytest.raises(IndexError):
+            pool[len(pool)]
+        assert [_row_of(c) for c in pool] == [tuple(r) for r in pool.rows.tolist()]
+
+    def test_angles_normalize_like_normalize_angle(self, rng):
+        raw = _raw_rows(rng, 1000)
+        rows = Pool(raw).rows
+        for col in (3, 7):
+            want = np.array([normalize_angle(a) for a in raw[:, col].tolist()])
+            assert rows[:, col].tobytes() == want.tobytes()
+            assert Pool(rows).rows[:, col].tobytes() == want.tobytes()  # idempotent
+
+    def test_selections_give_pools(self, rng):
+        pool = Pool(_raw_rows(rng, 20))
+        mask = np.arange(20) % 3 == 0
+        index = np.array([5, 1, 1, 19])
+        for key, want in ((slice(2, 9, 2), pool.rows[2:9:2]), (index, pool.rows[index]), (mask, pool.rows[mask])):
+            sub = pool[key]
+            assert isinstance(sub, Pool)
+            np.testing.assert_array_equal(sub.rows, want)
+            assert not sub.rows.flags.writeable
+        with pytest.raises(IndexError):
+            pool[2, 3]
+
+    def test_rows_are_read_only(self, rng):
+        pool = Pool(_raw_rows(rng, 5))
+        assert not pool.rows.flags.writeable
+        with pytest.raises(ValueError):
+            pool.rows[0, 0] = 1.0
+        src, _ = pool_arrays(pool)
+        with pytest.raises(ValueError):
+            src[0, 0] = 1.0
+        raw = np.ones((2, 8))
+        Pool(raw)
+        assert raw.flags.writeable  # the input is copied, not frozen
+
+    def test_equality_compares_rows(self, rng):
+        raw = _raw_rows(rng, 10)
+        a, b = Pool(raw), Pool(raw.copy())
+        assert (a == b) is True and (a != b) is False
+        assert (a == a[:9]) is False and (a != a[:9]) is True
+        moved = raw.copy()
+        moved[4, 0] += 1.0
+        assert (a == Pool(moved)) is False
+        assert (a == list(a)) is False and (a != list(a)) is True
+
+    def test_as_pool_converts_sequences_once(self, rng):
+        pool = Pool(_raw_rows(rng, 12))
+        assert as_pool(pool) is pool
+        assert as_pool(list(pool)) == pool
+        assert as_pool(tuple(pool)[3:5]) == pool[3:5]
+        assert len(as_pool([])) == 0
+        src, dst = pool_arrays(list(pool))
+        np.testing.assert_array_equal(src, pool.rows[:, 0:2])
+        np.testing.assert_array_equal(dst, pool.rows[:, 4:6])

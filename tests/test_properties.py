@@ -1,0 +1,124 @@
+"""Property tests of the invariants the README promises.
+
+Hypothesis draws the inputs: arbitrary valid pool rows for the file round
+trip, small synthetic scenes for the estimators. Example counts are kept small
+so the module runs in a few seconds.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from hsolo import (
+    HsoloConfig,
+    InfeasibleSpec,
+    NoModelFound,
+    RansacConfig,
+    SceneSpec,
+    generate_scene,
+    hsolo_estimate,
+    load_correspondences,
+    random_scene_truth,
+    ransac_homography,
+    save_correspondences,
+)
+from hsolo.geometry import Pool, pool_arrays, transfer_errors
+
+FAST = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+row = st.tuples(finite, finite, positive, finite, finite, finite, positive, finite)
+
+
+@FAST
+@given(rows=st.lists(row, max_size=20), flags=st.booleans())
+def test_file_round_trip_gives_an_equal_pool(rows, flags):
+    pool = Pool(np.array(rows, dtype=float).reshape(-1, 8))
+    mask = np.arange(len(pool)) % 2 == 0 if flags else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.csv"
+        save_correspondences(path, pool, mask)
+        loaded = load_correspondences(path)
+    assert loaded.correspondences == pool
+    assert loaded.has_byproducts == (len(pool) > 0)  # a header-only file has no row to tell
+    if flags:
+        np.testing.assert_array_equal(loaded.inlier_mask, mask)
+    else:
+        assert loaded.inlier_mask is None
+
+
+@st.composite
+def scenes(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    noisy = draw(st.booleans())
+    spec = SceneSpec(
+        truth=random_scene_truth(np.random.default_rng(seed), (640.0, 480.0)),
+        image_bounds=(640.0, 480.0),
+        n_total=draw(st.integers(8, 60)),
+        inlier_rate=draw(st.sampled_from([0.1, 0.3, 0.6, 1.0])),
+        pixel_noise_sigma=0.5 * noisy,
+        scale_noise_sigma=0.05 * noisy,
+        angle_noise_sigma=0.05 * noisy,
+        seed=seed,
+    )
+    try:
+        pool, _ = generate_scene(spec)
+    except InfeasibleSpec:
+        assume(False)
+    return pool, draw(st.integers(0, 2**31 - 1))
+
+
+def _solve(method, pool, seed):
+    """The method's result, or None when it raises NoModelFound (and nothing else)."""
+    try:
+        if method == "hsolo":
+            return hsolo_estimate(pool, HsoloConfig(seed=seed))
+        config = RansacConfig(max_iterations=300, seed=seed)
+        return ransac_homography(pool, pool, min(1.0, 4 / len(pool)), config)
+    except NoModelFound:
+        return None
+
+
+def _fingerprint(result):
+    if result is None:
+        return None
+    history = [(h.iteration, h.support, h.k_after, h.model.m.tobytes()) for h in result.history]
+    return (
+        result.model.m.tobytes(),
+        result.inlier_indices.tobytes(),
+        result.support,
+        result.iterations_run,
+        result.k_final,
+        history,
+    )
+
+
+@FAST
+@given(scene=scenes(), method=st.sampled_from(["hsolo", "ransac"]))
+def test_estimators_keep_their_contract(scene, method):
+    pool, seed = scene
+    result = _solve(method, pool, seed)
+    if result is not None:
+        idx = result.inlier_indices
+        assert result.support == len(idx)
+        assert np.all(np.diff(idx) > 0) and 0 <= idx[0] and idx[-1] < len(pool)
+        src, dst = pool_arrays(pool)
+        assert np.all(transfer_errors(result.model.m, src[idx], dst[idx]) <= 4.0)
+    # a list of the same rows is the same input
+    assert _fingerprint(_solve(method, list(pool), seed)) == _fingerprint(result)
+
+
+@FAST
+@given(scene=scenes())
+def test_degenerate_pools_find_no_model(scene):
+    pool, seed = scene
+    identical = pool[np.zeros(len(pool), dtype=np.intp)]
+    rows = pool.rows.copy()
+    rows[:, 1] = 0.5 * rows[:, 0] + 10.0  # every source on one line
+    for degenerate in (identical, Pool(rows)):
+        for method in ("hsolo", "ransac"):
+            assert _solve(method, degenerate, seed) is None

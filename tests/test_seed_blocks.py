@@ -23,7 +23,7 @@ from hsolo import (
     refine_model,
 )
 from hsolo.estimator import _filtered_from_errors, _seed_block, seed_medians
-from hsolo.geometry import pool_arrays, transfer_errors
+from hsolo.geometry import as_pool, pool_arrays, transfer_errors
 from hsolo.robust import EstimationResult, Improvement, RansacConfig, ransac_homography, required_iterations
 from hsolo.solvers import single_match_homography
 
@@ -157,7 +157,7 @@ def test_block_loop_matches_reference_bit_for_bit(n, w):
 def test_seed_block_errors_and_medians_match_scalar_path():
     pool = noisy_pool(200, 0.2, 7, duplicated=True)
     src, dst = pool_arrays(pool)
-    errors, medians = _seed_block(pool, src, dst, 20)
+    errors, medians = _seed_block(as_pool(pool), src, dst, 20)
     for i, c in enumerate(pool):
         want = transfer_errors(single_match_homography(c).m, src, dst)
         assert errors[i].tobytes() == want.tobytes()
@@ -185,7 +185,7 @@ def test_seed_block_follows_homography_at_its_limits():
     pool = noisy_pool(50, 0.2, 9)
     src, dst = pool_arrays(pool)
     with np.errstate(over="ignore"):  # Homography's norm of the 1e200 sketch
-        errors, medians = _seed_block(seeds, src, dst, 21)
+        errors, medians = _seed_block(as_pool(seeds), src, dst, 21)
     usable = 0
     for i, c in enumerate(seeds):
         try:

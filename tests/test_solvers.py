@@ -11,6 +11,8 @@ from hsolo import (
     DegenerateConfiguration,
     Homography,
     Point2,
+    SingularMatrix,
+    as_pool,
     dlt_solve,
     invert,
     project,
@@ -116,6 +118,16 @@ class TestDltSolve:
         pool = exact_pool(Homography.identity(), pts)
         with pytest.raises(DegenerateConfiguration):
             dlt_solve(pool)
+
+    def test_collinear_target_triple_is_singular(self):
+        # sources in general position, but three targets on one line: the
+        # least-squares fit exists and is singular, which Homography rejects
+        src = np.array([(0.0, 0.0), (100.0, 0.0), (100.0, 80.0), (0.0, 80.0)])
+        dst = np.array([(10.0, 10.0), (60.0, 35.0), (110.0, 60.0), (20.0, 90.0)])
+        pool = pool_from_arrays(src, dst)
+        for given in (pool, as_pool(pool)):
+            with pytest.raises(SingularMatrix):
+                dlt_solve(given)
 
     def test_collinear_cloud_is_degenerate(self, rng):
         # Many points on one line leave the solution underdetermined.
