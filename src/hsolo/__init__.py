@@ -24,7 +24,6 @@ from .estimator import (
     estimate_epsilon_r,
     filter_by_model,
     hsolo_estimate,
-    median_gate,
     refine_model,
 )
 from .exceptions import (
@@ -52,8 +51,6 @@ from .geometry import (
     Point2,
     Pool,
     as_pool,
-    compose,
-    invert,
     project,
     reprojection_error,
 )
@@ -66,7 +63,6 @@ from .robust import (
 )
 from .solvers import dlt_solve, single_match_homography
 from .synthetic import (
-    LocalByproducts,
     SceneSpec,
     generate_scene,
     jacobian_byproducts,
@@ -94,7 +90,6 @@ __all__ = [
     "InsufficientData",
     "InvalidFeature",
     "LoadedCorrespondences",
-    "LocalByproducts",
     "NoModelFound",
     "Point2",
     "Pool",
@@ -107,17 +102,14 @@ __all__ = [
     "TheoryRow",
     "TrialRecord",
     "as_pool",
-    "compose",
     "dbscan_1d",
     "dlt_solve",
     "estimate_epsilon_r",
     "filter_by_model",
     "generate_scene",
     "hsolo_estimate",
-    "invert",
     "jacobian_byproducts",
     "load_correspondences",
-    "median_gate",
     "project",
     "random_scene_truth",
     "ransac_homography",

@@ -26,7 +26,7 @@ from .estimator import HsoloConfig, hsolo_estimate
 from .exceptions import InfeasibleSpec, NoModelFound
 from .fileio import LoadedCorrespondences
 from .geometry import pool_arrays, project_points, transfer_errors
-from .robust import EstimationResult, RansacConfig, ransac_homography
+from .robust import EstimationResult, RansacConfig, baseline_w_init, ransac_homography
 from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 SUCCESS_ERROR_PX = 2.0
@@ -103,8 +103,7 @@ def _estimate(method, pool, h_cfg: HsoloConfig, r_cfg: RansacConfig):
         if method == "hsolo":
             result: EstimationResult | None = hsolo_estimate(pool, h_cfg)
         else:
-            w_floor = min(1.0, r_cfg.sample_size / len(pool))
-            result = ransac_homography(pool, pool, w_floor, r_cfg)
+            result = ransac_homography(pool, pool, baseline_w_init(pool, r_cfg), r_cfg)
     except NoModelFound:
         result = None
     return result, time.perf_counter() - t0

@@ -28,7 +28,7 @@ from .estimator import HsoloConfig, estimate_epsilon_r, hsolo_estimate, seed_med
 from .exceptions import FileFormatError, HsoloError, NoModelFound
 from .fileio import load_correspondences, save_correspondences, save_result, write_result
 from .geometry import Homography
-from .robust import DEFAULT_MAX_ITERATIONS, RansacConfig, ransac_homography
+from .robust import DEFAULT_MAX_ITERATIONS, RansacConfig, baseline_w_init, ransac_homography
 from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 
@@ -98,8 +98,7 @@ def _cmd_solve(args) -> int:
     else:
         config = _ransac_config(args)
         pool = loaded.correspondences
-        w_floor = min(1.0, config.sample_size / len(pool))
-        result = ransac_homography(pool, pool, w_floor, config)
+        result = ransac_homography(pool, pool, baseline_w_init(pool, config), config)
     if args.output:
         save_result(args.output, result, config, include_timing=args.timing)
     else:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .exceptions import InsufficientData, NoModelFound, SingularMatrix
 from .geometry import (
-    SINGULARITY_RTOL, Homography, Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors
+    SINGULARITY_RTOL, Homography, Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors,
+    valid_homography,
 )
 from .robust import (
     DEFAULT_MAX_ITERATIONS,
@@ -34,7 +35,8 @@ from .robust import (
     ransac_homography,
     required_iterations,
 )
-from .solvers import single_match_homography
+# not called here: perfbench's tracer wraps this module attribute
+from .solvers import single_match_homography  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -146,9 +148,9 @@ def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tupl
     every ``src -> dst`` pair under the sketch of ``seeds[i]``, bit for bit
     what ``transfer_errors(single_match_homography(seeds[i]).m, src, dst)``
     gives, except that NaN becomes +inf. ``medians[i]`` is the median of the
-    row's min(n_f, n) smallest errors. A seed whose sketch ``Homography``
-    rejects (non-finite or singular) gets +inf throughout, so it fails every
-    gate instead of raising.
+    row's min(n_f, n) smallest errors. A seed whose sketch fails
+    :func:`~hsolo.geometry.valid_homography` (non-finite or singular) gets
+    +inf throughout, so it fails every gate instead of raising.
     """
     u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
     # single_match_homography's arithmetic, one column per entry; math.cos and
@@ -162,30 +164,18 @@ def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tupl
         l10, l11 = r * sin_d, r * cos_d
         tx = u2 - (l00 * u1 + l01 * v1)
         ty = v2 - (l10 * u1 + l11 * v1)
-        fro2 = l00 * l00 + l01 * l01 + tx * tx + l10 * l10 + l11 * l11 + ty * ty + 1.0
-        det = l00 * l11 - l01 * l10
-        # With a factor-2 margin over rounding: the entries are finite,
-        # Homography keeps them as given (h9 = 1 is significant) and passes
-        # its determinant test. The last row is then (0, 0, 1), so
+        # Homography's test on the same entries. A passing similarity has
+        # r**2 > 1e-12 * fro**3 and r**2 < fro**2 / 2, so fro < 5e11: h9 = 1
+        # stays significant, Homography keeps the entries as given, and
         # transfer_errors divides by exactly 1 and flags no point.
-        plain = (fro2 < 0.25 / SINGULARITY_RTOL**2) & (
-            det > 2.0 * SINGULARITY_RTOL * fro2 * np.sqrt(fro2)
-        )
-    l00, l01, tx, l10, l11, ty = (np.where(plain, e, 0.0) for e in (l00, l01, tx, l10, l11, ty))
+        ok = valid_homography(((l00, l01, tx), (l10, l11, ty), (0.0, 0.0, 1.0)))
+    l00, l01, tx, l10, l11, ty = (np.where(ok, e, 0.0) for e in (l00, l01, tx, l10, l11, ty))
     # transfer_errors' elementwise operations, in its order
     u, v = src[:, 0], src[:, 1]
     x = l00[:, None] * u + l01[:, None] * v + tx[:, None]
     y = l10[:, None] * u + l11[:, None] * v + ty[:, None]
     errors = np.hypot(x - dst[:, 0], y - dst[:, 1])
-    # the rest take Homography's own path, whose canonical scaling and exact
-    # determinant decide the few rows near the margins
-    for i in np.flatnonzero(~plain).tolist():
-        try:
-            m = single_match_homography(seeds[i]).m
-        except (SingularMatrix, ValueError):
-            errors[i] = np.inf
-        else:
-            errors[i] = transfer_errors(m, src, dst)
+    errors[~ok] = np.inf
     errors[np.isnan(errors)] = np.inf
     take = min(n_f, errors.shape[1])
     ranks = sorted({(take - 1) // 2, take // 2})
@@ -208,11 +198,6 @@ def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
     rows = _max_seed_block(len(pool))
     medians = [_seed_block(seeds[i : i + rows], src, dst, n_f)[1] for i in range(0, len(seeds), rows)]
     return np.concatenate(medians) if medians else np.empty(0)
-
-
-def median_gate(fs: FilteredSet, epsilon_r: float) -> bool:
-    """True when the filtered set's median error is within epsilon_r."""
-    return bool(fs.median_error <= epsilon_r)
 
 
 def estimate_epsilon_r(errors) -> float:

@@ -22,6 +22,7 @@ from .exceptions import DegenerateProjection, InvalidFeature, SingularMatrix
 # w-component or a determinant is treated as zero. Double precision leaves
 # ample headroom for pixel-scale data.
 SINGULARITY_RTOL = 1e-12
+_RTOL_SQUARED = SINGULARITY_RTOL * SINGULARITY_RTOL
 
 _TWO_PI = 2.0 * math.pi
 
@@ -77,35 +78,48 @@ class Correspondence:
     a: AffineFeature
     b: AffineFeature
 
-    def swapped(self) -> "Correspondence":
-        return Correspondence(self.b, self.a)
+
+def valid_homography(m):
+    """The one homography validity test: ``|det| > SINGULARITY_RTOL * fro**3``.
+
+    ``fro`` is the Frobenius norm; both sides are squared, so a NaN or
+    infinite entry fails too. Elementwise, as :func:`apply_homogeneous` is:
+    a 3x3 nested list of floats gives a bool, a ``(3, 3, c)`` array a
+    ``(c,)`` mask, with the same bits. Scale-invariant up to rounding while
+    the squares neither overflow nor underflow.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    fro2 = a * a + b * b + c * c + d * d + e * e + f * f + g * g + h * h + i * i
+    return det * det > _RTOL_SQUARED * (fro2 * fro2 * fro2)
 
 
-def _canonicalize(m: np.ndarray) -> np.ndarray:
+def _canonicalize(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale a 3x3 matrix into its canonical projective representation.
 
     When the (3,3) entry is significant the matrix is scaled so that entry is
     exactly 1. Otherwise it is scaled to unit Frobenius norm with the first
     significant entry positive. Idempotent down to the bit level: an already
-    canonical matrix passes through unchanged.
+    canonical matrix passes through unchanged. Returns the canonical matrix
+    and its Frobenius norm.
     """
     fro = float(np.linalg.norm(m))
     if fro == 0.0:
         raise ValueError("homography entries are all zero")
     if abs(m[2, 2]) > SINGULARITY_RTOL * fro:
         s = m[2, 2]
-        if s != 1.0:
-            m = m / s
-        return m
-    if abs(fro - 1.0) > SINGULARITY_RTOL:
-        m = m / fro
-    flat = m.ravel()
-    for entry in flat:
-        if abs(entry) > SINGULARITY_RTOL:
-            if entry < 0.0:
-                m = -m
-            break
-    return m
+        if s == 1.0:
+            return m, fro
+        m = m / s
+    else:
+        if abs(fro - 1.0) > SINGULARITY_RTOL:
+            m = m / fro
+        for entry in m.ravel():
+            if abs(entry) > SINGULARITY_RTOL:
+                if entry < 0.0:
+                    m = -m
+                break
+    return m, float(np.linalg.norm(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,33 +128,37 @@ class Homography:
 
     Stored in canonical form: scaled so the last entry is 1 whenever that
     entry is significant, otherwise unit Frobenius norm with the first
-    significant entry positive. Construction rejects matrices whose
-    determinant is zero up to :data:`SINGULARITY_RTOL`.
+    significant entry positive. Construction rejects matrices that
+    :func:`valid_homography` rejects, testing the canonical form.
     """
 
     m: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.m, dtype=float)
+        arr = np.array(self.m, dtype=float)
         if arr.shape == (9,):
             arr = arr.reshape(3, 3)
         if arr.shape != (3, 3):
             raise ValueError(f"homography must be 3x3 or flat 9, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("homography entries must be finite")
-        arr = _canonicalize(np.array(arr, dtype=float))
-        fro = float(np.linalg.norm(arr))
-        det = float(np.linalg.det(arr))
-        if abs(det) <= SINGULARITY_RTOL * fro**3:
+        arr, fro = _canonicalize(arr)
+        if not valid_homography(arr.tolist()):
+            det = float(np.linalg.det(arr))
             raise SingularMatrix(f"homography is singular to tolerance (det={det:.3e})")
+        self._freeze(arr, fro)
+
+    @classmethod
+    def _trusted(cls, m: np.ndarray) -> "Homography":
+        """A copy of a 3x3 matrix that :func:`valid_homography` passed, canonical but not re-tested."""
+        h = cls.__new__(cls)
+        h._freeze(*_canonicalize(np.array(m, dtype=float)))
+        return h
+
+    def _freeze(self, arr: np.ndarray, fro: float) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "m", arr)
         object.__setattr__(self, "_fro", fro)
-
-    @property
-    def entries(self) -> tuple[float, ...]:
-        """The nine entries h1..h9 in row-major order."""
-        return tuple(float(x) for x in self.m.ravel())
 
     @classmethod
     def identity(cls) -> "Homography":
@@ -191,20 +209,6 @@ def reprojection_error(h: Homography, c: Correspondence) -> float:
     """
     q = project(h, c.a.p)
     return float(np.hypot(q.u - c.b.p.u, q.v - c.b.p.v))
-
-
-def compose(h1: Homography, h2: Homography) -> Homography:
-    """The homography applying ``h2`` first, then ``h1``."""
-    return Homography(h1.m @ h2.m)
-
-
-def invert(h: Homography) -> Homography:
-    """Inverse transform. Raises :class:`SingularMatrix` on near-singular input."""
-    try:
-        inv = np.linalg.inv(h.m)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    return Homography(inv)
 
 
 def _correspondence(row) -> Correspondence:

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DegenerateConfiguration, IllConditioned, NoModelFound, SingularMatrix
-from .geometry import SINGULARITY_RTOL, Homography, Pool, as_pool, pool_arrays, transfer_errors
+from .geometry import (
+    SINGULARITY_RTOL, Homography, Pool, as_pool, pool_arrays, transfer_errors, valid_homography
+)
 from .solvers import dlt_solve, solve_minimal_batch
 
 DEFAULT_MAX_ITERATIONS = 10_000_000
@@ -99,6 +101,21 @@ class EstimationResult:
     history: tuple[Improvement, ...] = field(default=(), repr=False)
 
 
+def _require_sample(n: int, sample_size: int) -> None:
+    if n < sample_size:
+        raise ValueError(f"sample pool has {n} < {sample_size} correspondences")
+
+
+def baseline_w_init(pool, config: RansacConfig) -> float:
+    """Starting inlier rate of plain RANSAC on one pool: min(1, sample_size / len(pool)).
+
+    Raises ``ValueError``, as :func:`ransac_homography` does, when the pool
+    holds fewer correspondences than one sample.
+    """
+    _require_sample(len(pool), config.sample_size)
+    return min(1.0, config.sample_size / len(pool))
+
+
 def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.ndarray:
     """(count, s) samples of distinct indices in [0, n), uniform over subsets."""
     if n <= 64:
@@ -155,8 +172,7 @@ def ransac_homography(sample_pool, score_pool, w_init: float, config: RansacConf
     t0 = time.perf_counter()
     sample_pool, score_pool = as_pool(sample_pool), as_pool(score_pool)
     ns = len(sample_pool)
-    if ns < config.sample_size:
-        raise ValueError(f"sample pool has {ns} < {config.sample_size} correspondences")
+    _require_sample(ns, config.sample_size)
     if not 0.0 < w_init <= 1.0:
         raise ValueError(f"w_init must be in (0, 1], got {w_init}")
 
@@ -179,6 +195,8 @@ def ransac_homography(sample_pool, score_pool, w_init: float, config: RansacConf
         batch = min(2 * batch, _CHUNK)
         samples = _draw_distinct(rng, ns, config.sample_size, chunk)
         models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
+        with np.errstate(over="ignore", invalid="ignore"):
+            valid &= valid_homography(models.transpose(1, 2, 0))
         supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
         for j in range(chunk):
             if it >= k:
@@ -186,10 +204,7 @@ def ransac_homography(sample_pool, score_pool, w_init: float, config: RansacConf
             it += 1
             sup = int(supports[j])
             if sup >= 4 and sup > best_support:
-                try:
-                    model = Homography(models[j])
-                except (SingularMatrix, ValueError):
-                    continue
+                model = Homography._trusted(models[j])
                 best_support = sup
                 best_model = model
                 w_hat = min(1.0, sup / ns)

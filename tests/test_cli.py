@@ -166,6 +166,19 @@ class TestExtremeRow:
             assert doc["seed_set"] == "all" and int(doc["n_seeds"]) == 299
 
 
+def test_header_only_file_is_bad_input_for_ransac(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(f"{CORR_HEADER}\n")
+    for argv in (
+        ["solve", str(empty), "--method", "ransac"],
+        ["bench", "--input", str(empty), "--methods", "ransac", "--trials", "2"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sample pool has 0 < 4 correspondences\n"
+
+
 class TestBench:
     def test_synthetic_sweep_summary(self, capsys):
         rc = main(

@@ -20,7 +20,6 @@ from hsolo import (
     estimate_epsilon_r,
     filter_by_model,
     hsolo_estimate,
-    median_gate,
     project,
     refine_model,
     reprojection_error,
@@ -133,18 +132,6 @@ class TestFilterByModel:
             )
         fs = filter_by_model(h, pool, 2)
         assert 0 not in fs.indices.tolist()
-
-
-class TestMedianGate:
-    def test_passes_at_or_below_threshold(self):
-        fs = _filtered_from_errors(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), 5)
-        assert fs.median_error == 2.0
-        assert median_gate(fs, 2.0) is True
-        assert median_gate(fs, 1.99) is False
-
-    def test_rejects_wild_models(self):
-        fs = _filtered_from_errors(np.full(9, 100.0), 9)
-        assert median_gate(fs, 20.0) is False
 
 
 class TestEstimateEpsilonR:
@@ -392,7 +379,7 @@ class TestHsoloEstimate:
             h_prime = single_match_homography(pool[int(i)])
             fs = filter_by_model(h_prime, pool, 21)
             checked += 1
-            if not median_gate(fs, 20.0):
+            if not fs.median_error <= 20.0:
                 rejected += 1
         assert rejected / checked > 0.5
 

@@ -14,8 +14,6 @@ from hsolo import (
     InvalidFeature,
     Point2,
     SingularMatrix,
-    compose,
-    invert,
     project,
     reprojection_error,
 )
@@ -81,14 +79,6 @@ class TestPointsAndFeatures:
         with pytest.raises(InvalidFeature):
             AffineFeature(Point2(0, 0), math.nan, 0.0)
 
-    def test_correspondence_swapped(self):
-        c = Correspondence(
-            AffineFeature(Point2(1, 2), 2.0, 0.5),
-            AffineFeature(Point2(3, 4), 1.0, -0.5),
-        )
-        s = c.swapped()
-        assert s.a == c.b and s.b == c.a
-
 
 class TestHomographyConstruction:
     def test_canonical_last_entry_is_one(self):
@@ -138,14 +128,18 @@ class TestHomographyConstruction:
         h = random_truth(rng)
         np.testing.assert_allclose(Homography(h.m * -7.3).m, h.m, rtol=0, atol=1e-12)
 
+    def test_trusted_constructor_matches_the_checked_one(self, rng):
+        perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        for m in [random_truth(rng).m * rng.uniform(-3.0, 3.0) for _ in range(20)] + [-2.0 * perm]:
+            checked, trusted = Homography(m), Homography._trusted(m)
+            assert trusted.m.tobytes() == checked.m.tobytes()
+            assert trusted._fro == checked._fro
+            assert not trusted.m.flags.writeable and trusted.m is not m
+
     def test_matrix_is_read_only(self):
         h = Homography.identity()
         with pytest.raises(ValueError):
             h.m[0, 0] = 2.0
-
-    def test_entries_row_major(self):
-        h = Homography.translation(4.0, -1.0)
-        assert h.entries == (1.0, 0.0, 4.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0)
 
     def test_identity_and_translation_factories(self):
         np.testing.assert_array_equal(Homography.identity().m, np.eye(3))
@@ -182,26 +176,6 @@ class TestProjection:
             AffineFeature(Point2(3.0, 4.0), 1.0, 0.0),
         )
         assert reprojection_error(Homography.identity(), c) == 5.0
-
-
-class TestComposeInvert:
-    def test_invert_round_trip(self, rng):
-        h = random_truth(rng)
-        np.testing.assert_allclose(invert(invert(h)).m, h.m, rtol=0, atol=1e-12)
-
-    def test_compose_with_inverse_is_identity(self, rng):
-        h = random_truth(rng)
-        np.testing.assert_allclose(compose(invert(h), h).m, np.eye(3), rtol=0, atol=1e-12)
-
-    def test_compose_applies_second_argument_first(self, rng):
-        h1 = Homography.translation(5.0, 0.0)
-        h2 = Homography(np.diag([2.0, 2.0, 1.0]))
-        p = Point2(1.0, 1.0)
-        # compose(h1, h2) maps p through h2, then h1.
-        expected = project(h1, project(h2, p))
-        got = project(compose(h1, h2), p)
-        assert got.u == pytest.approx(expected.u) and got.v == pytest.approx(expected.v)
-        assert (got.u, got.v) == (7.0, 2.0)
 
 
 class TestPoolArrays:

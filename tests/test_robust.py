@@ -17,8 +17,9 @@ from hsolo import (
     required_iterations,
 )
 from hsolo.geometry import pool_arrays, transfer_errors
+from hsolo.robust import baseline_w_init
 
-from conftest import exact_pool, random_points, random_truth
+from conftest import exact_pool, pool_from_arrays, random_points, random_truth
 
 
 def iterations_oracle(w: float, n: int, p: float) -> int:
@@ -109,6 +110,15 @@ class TestRansacConfig:
             RansacConfig(max_iterations=0)
 
 
+def test_baseline_w_init_rejects_a_pool_smaller_than_a_sample(rng):
+    pool = exact_pool(random_truth(rng), random_points(rng, 10))
+    for n in range(4):
+        with pytest.raises(ValueError, match=f"sample pool has {n} < 4"):
+            baseline_w_init(pool[:n], RansacConfig())
+    assert baseline_w_init(pool[:4], RansacConfig()) == 1.0
+    assert baseline_w_init(pool, RansacConfig()) == 0.4
+
+
 class TestRansacHomography:
     def test_all_inliers_stop_after_one_iteration(self, rng):
         truth = random_truth(rng)
@@ -118,6 +128,15 @@ class TestRansacHomography:
         assert res.iterations_run == 1
         assert res.k_final == 1
         np.testing.assert_allclose(res.model.m, truth.m, rtol=0, atol=1e-9)
+
+    def test_singular_candidates_never_become_the_model(self, rng):
+        # every target on one line: each 4-point fit is the rank-2 map
+        # (u, v) -> (u + 3, 2u + 6), which fits all 30 points exactly
+        src = np.array([(p.u, p.v) for p in random_points(rng, 30)])
+        dst = np.column_stack([src[:, 0] + 3.0, 2.0 * src[:, 0] + 6.0])
+        pool = pool_from_arrays(src, dst)
+        with pytest.raises(NoModelFound):
+            ransac_homography(pool, pool, 0.5, RansacConfig(seed=2, max_iterations=200))
 
     def test_reported_inliers_satisfy_threshold(self, rng):
         truth = random_truth(rng)
