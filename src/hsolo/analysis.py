@@ -25,11 +25,13 @@ class ClusterResult:
     """Density clustering of per-trial mean errors.
 
     ``labels`` holds a cluster id per input value (in input order) or NOISE.
-    ``cluster_mean_error`` is the mean over the largest cluster, NaN when
-    everything is noise.
+    ``winner`` is the id of the largest cluster (ties to the lower mean) and
+    ``cluster_mean_error`` its mean; they are NOISE and NaN when everything
+    is noise.
     """
 
     labels: np.ndarray
+    winner: int
     largest_cluster_size: int
     success_rate: float
     cluster_mean_error: float
@@ -77,16 +79,15 @@ def dbscan_1d(values, eps: float, min_pts: int) -> ClusterResult:
     labels = np.empty(n, dtype=np.int64)
     labels[order] = labels_sorted
 
-    best_size = 0
-    best_mean = math.nan
+    winner, best_size, best_mean = NOISE, 0, math.nan
     for c in range(cluster):
         members = sorted_vals[labels_sorted == c]
         mean = float(members.mean())
         if members.size > best_size or (members.size == best_size and mean < best_mean):
-            best_size = int(members.size)
-            best_mean = mean
+            winner, best_size, best_mean = c, int(members.size), mean
     return ClusterResult(
         labels=labels,
+        winner=winner,
         largest_cluster_size=best_size,
         success_rate=best_size / n,
         cluster_mean_error=best_mean,

@@ -96,24 +96,11 @@ def _held_out_pairs(truth, bounds) -> tuple[np.ndarray, np.ndarray]:
     return a, project_points(truth.m, a)[0]
 
 
-def _estimate(method, pool, h_cfg: HsoloConfig, r_cfg: RansacConfig):
-    """Run one method; returns (result or None, elapsed seconds)."""
-    t0 = time.perf_counter()
-    try:
-        if method == "hsolo":
-            result: EstimationResult | None = hsolo_estimate(pool, h_cfg)
-        else:
-            result = ransac_homography(pool, pool, baseline_w_init(pool, r_cfg), r_cfg)
-    except NoModelFound:
-        result = None
-    return result, time.perf_counter() - t0
-
-
-def _evaluate(result, elapsed, method, w_true, eval_a, eval_b, seed) -> TrialRecord:
+def _evaluate(result, elapsed, method, w_true, held_out, seed) -> TrialRecord:
     if result is None:
         return TrialRecord(method, w_true, False, math.inf, 0, elapsed, seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_err = float(np.mean(transfer_errors(result.model.m, eval_a, eval_b)))
+        mean_err = float(np.mean(transfer_errors(result.model.m, *held_out)))
     if math.isnan(mean_err):
         mean_err = math.inf
     return TrialRecord(
@@ -127,25 +114,28 @@ def _evaluate(result, elapsed, method, w_true, eval_a, eval_b, seed) -> TrialRec
     )
 
 
-def _method_records(
-    pool, methods, h_cfg, r_cfg, hsolo_ss, ransac_ss, w_true, eval_a, eval_b, trial_seed
-) -> list[TrialRecord]:
+def _method_records(pool, methods, configs, streams, w_true, held_out, trial_seed):
     """Run and evaluate every method on one pool, each on its own seed stream."""
     records = []
     for method in methods:
-        if method == "hsolo":
-            cfgs = (replace(h_cfg, seed=_seed_int(hsolo_ss)), r_cfg)
-        else:
-            cfgs = (h_cfg, replace(r_cfg, seed=_seed_int(ransac_ss)))
-        result, elapsed = _estimate(method, pool, *cfgs)
-        records.append(_evaluate(result, elapsed, method, w_true, eval_a, eval_b, trial_seed))
+        config = replace(configs[method], seed=_seed_int(streams[method]))
+        t0 = time.perf_counter()
+        try:
+            if method == "hsolo":
+                result: EstimationResult | None = hsolo_estimate(pool, config)
+            else:
+                result = ransac_homography(pool, pool, baseline_w_init(pool, config), config)
+        except NoModelFound:
+            result = None
+        elapsed = time.perf_counter() - t0
+        records.append(_evaluate(result, elapsed, method, w_true, held_out, trial_seed))
     return records
 
 
-def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, h_cfg, r_cfg) -> list[TrialRecord]:
+def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, configs) -> list[TrialRecord]:
     ss = np.random.SeedSequence((base_seed, wi, ti))
     trial_seed = _seed_int(ss)
-    truth_ss, scene_ss, hsolo_ss, ransac_ss = ss.spawn(4)
+    truth_ss, scene_ss, *method_ss = ss.spawn(4)
     truth = random_scene_truth(np.random.default_rng(truth_ss), sweep.image_bounds)
     spec = SceneSpec(
         truth=truth,
@@ -161,20 +151,15 @@ def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, h_cfg, r_cfg) -> list
         pool, mask = generate_scene(spec)
     except InfeasibleSpec:
         return [TrialRecord(m, float("nan"), False, math.inf, 0, 0.0, trial_seed) for m in methods]
-    w_true = float(mask.mean())
-    eval_a, eval_b = _held_out_pairs(truth, sweep.image_bounds)
-    return _method_records(
-        pool, methods, h_cfg, r_cfg, hsolo_ss, ransac_ss, w_true, eval_a, eval_b, trial_seed
-    )
+    held_out = _held_out_pairs(truth, sweep.image_bounds)
+    streams = dict(zip(METHODS, method_ss))
+    return _method_records(pool, methods, configs, streams, float(mask.mean()), held_out, trial_seed)
 
 
-def _file_trial(pool, eval_a, eval_b, w_true, ti, base_seed, methods, h_cfg, r_cfg):
+def _file_trial(pool, held_out, w_true, ti, base_seed, methods, configs):
     ss = np.random.SeedSequence((base_seed, 0, ti))
-    trial_seed = _seed_int(ss)
-    _, _, hsolo_ss, ransac_ss = ss.spawn(4)
-    return _method_records(
-        pool, methods, h_cfg, r_cfg, hsolo_ss, ransac_ss, w_true, eval_a, eval_b, trial_seed
-    )
+    streams = dict(zip(METHODS, ss.spawn(4)[2:]))
+    return _method_records(pool, methods, configs, streams, w_true, held_out, _seed_int(ss))
 
 
 def _run_trials(trial_fn, args_list, workers: int):
@@ -187,6 +172,7 @@ def _run_trials(trial_fn, args_list, workers: int):
 
 
 def _summarize(method, w_target, records, trials, skipped) -> SummaryRow:
+    records = [r for r in records if r.method == method]
     executed = len(records)
     successes = sum(1 for r in records if r.success)
     success_errors = [r.mean_reproj_error for r in records if r.success]
@@ -205,25 +191,16 @@ def _summarize(method, w_target, records, trials, skipped) -> SummaryRow:
 
 def _cluster_success(records, methods, eps, min_pts):
     """Re-judge success by clustering mean errors (file input without truth)."""
-    out = list(records)
+    out = [replace(r, success=False) for r in records]
     for method in methods:
         idx = [i for i, r in enumerate(records) if r.method == method]
         finite = [i for i in idx if math.isfinite(records[i].mean_reproj_error)]
-        for i in idx:
-            out[i] = replace(records[i], success=False)
         if not finite:
             continue
         pts = min_pts if min_pts is not None else max(5, math.ceil(0.02 * len(idx)))
         cr = dbscan_1d([records[i].mean_reproj_error for i in finite], eps, pts)
-        if cr.largest_cluster_size == 0:
-            continue
-        sizes: dict[int, list[float]] = {}
         for label, i in zip(cr.labels, finite):
-            if label != NOISE:
-                sizes.setdefault(int(label), []).append(records[i].mean_reproj_error)
-        winner = min(sizes, key=lambda c: (-len(sizes[c]), float(np.mean(sizes[c]))))
-        for label, i in zip(cr.labels, finite):
-            if label == winner:
+            if label == cr.winner != NOISE:
                 out[i] = replace(out[i], success=True)
     return out
 
@@ -242,6 +219,9 @@ def run_benchmark(
 ) -> BenchmarkResult:
     """Run the benchmark on a :class:`SceneSweep` or :class:`LoadedCorrespondences`.
 
+    Each method, named once, runs on a seed stream of its own, so its records
+    do not depend on the other methods or their order.
+
     The single-correspondence method is skipped (with a note) at inlier rates
     where the expected true-inlier count c fails c / n_f >= w_f, since its
     filtered-set assumption cannot hold there. Point-only files can only run
@@ -254,64 +234,53 @@ def run_benchmark(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"each method may be named once, got {methods}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
+    configs = {"hsolo": hsolo_config, "ransac": ransac_config}
     if isinstance(source, SceneSweep):
-        return _run_synthetic(source, methods, trials, hsolo_config, ransac_config, seed, workers)
+        return _run_synthetic(source, methods, trials, configs, seed, workers)
     if isinstance(source, LoadedCorrespondences):
-        return _run_file(
-            source,
-            methods,
-            trials,
-            hsolo_config,
-            ransac_config,
-            seed,
-            workers,
-            dbscan_eps,
-            dbscan_min_pts,
-        )
+        return _run_file(source, methods, trials, configs, seed, workers, dbscan_eps, dbscan_min_pts)
     raise TypeError(f"source must be SceneSweep or LoadedCorrespondences, got {type(source)}")
 
 
-def _runnable(methods, c, h_cfg, trials, notes, what) -> tuple[list, int]:
-    """The methods to run for ``c`` expected inliers, and hsolo's skipped trials.
+def _runnable(methods, c, configs, notes, what) -> list:
+    """The methods to run for ``c`` expected inliers.
 
     hsolo is dropped, with a note, when c / n_f < w_f: its filtered-set
     assumption cannot hold there.
     """
-    run_methods = list(methods)
-    if "hsolo" not in run_methods or c / h_cfg.n_f >= h_cfg.w_f:
-        return run_methods, 0
-    run_methods.remove("hsolo")
+    h_cfg = configs["hsolo"]
+    if "hsolo" not in methods or c / h_cfg.n_f >= h_cfg.w_f:
+        return list(methods)
     notes.append(f"hsolo skipped{what} give c/n_f = {c / h_cfg.n_f:.3f} < w_f = {h_cfg.w_f}")
-    return run_methods, trials
+    return [m for m in methods if m != "hsolo"]
 
 
-def _summaries(methods, w, records, trials, skipped) -> list[SummaryRow]:
-    return [
-        _summarize(m, w, [r for r in records if r.method == m], trials, skipped if m == "hsolo" else 0)
-        for m in methods
-    ]
+def _summaries(methods, run_methods, w, records, trials) -> list[SummaryRow]:
+    """One row per method; a method left out of ``run_methods`` skipped every trial."""
+    return [_summarize(m, w, records, trials, 0 if m in run_methods else trials) for m in methods]
 
 
-def _run_synthetic(sweep, methods, trials, h_cfg, r_cfg, seed, workers) -> BenchmarkResult:
+def _run_synthetic(sweep, methods, trials, configs, seed, workers) -> BenchmarkResult:
     records: list[TrialRecord] = []
     summary: list[SummaryRow] = []
     notes: list[str] = []
     for wi, w in enumerate(sweep.inlier_rates):
         c = round(sweep.n_total * w)
-        what = f" at w={w}: expected inliers {c}"
-        run_methods, skipped = _runnable(methods, c, h_cfg, trials, notes, what)
-        args = [(sweep, w, wi, ti, seed, run_methods, h_cfg, r_cfg) for ti in range(trials)]
+        run_methods = _runnable(methods, c, configs, notes, f" at w={w}: expected inliers {c}")
+        args = [(sweep, w, wi, ti, seed, run_methods, configs) for ti in range(trials)]
         batch = _run_trials(_synthetic_trial, args, workers) if run_methods else []
         records.extend(batch)
-        summary.extend(_summaries(methods, w, batch, trials, skipped))
+        summary.extend(_summaries(methods, run_methods, w, batch, trials))
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 
 def _run_file(
-    loaded, methods, trials, h_cfg, r_cfg, seed, workers, dbscan_eps, dbscan_min_pts
+    loaded, methods, trials, configs, seed, workers, dbscan_eps, dbscan_min_pts
 ) -> BenchmarkResult:
     notes: list[str] = []
     if "hsolo" in methods and not loaded.has_byproducts:
@@ -320,26 +289,26 @@ def _run_file(
             "the scale/angle byproduct columns (8-field rows). Run with ransac only."
         )
     mask = loaded.inlier_mask
-    run_methods, skipped = list(methods), 0
+    run_methods = methods
     if mask is not None:
         c = int(mask.sum())
         w_true = float(mask.mean())
-        run_methods, skipped = _runnable(methods, c, h_cfg, trials, notes, f": {c} flagged inliers")
+        run_methods = _runnable(methods, c, configs, notes, f": {c} flagged inliers")
         eval_pool = loaded.correspondences[mask]
     else:
         w_true = float("nan")
         eval_pool = loaded.correspondences
         notes.append("no ground-truth column: success judged by clustering mean errors")
-    eval_a, eval_b = pool_arrays(eval_pool)
+    held_out = pool_arrays(eval_pool)
 
     args = [
-        (loaded.correspondences, eval_a, eval_b, w_true, ti, seed, run_methods, h_cfg, r_cfg)
+        (loaded.correspondences, held_out, w_true, ti, seed, run_methods, configs)
         for ti in range(trials)
     ]
     records = _run_trials(_file_trial, args, workers) if run_methods else []
     if mask is None and records:
         records = _cluster_success(records, run_methods, dbscan_eps, dbscan_min_pts)
-    summary = _summaries(methods, w_true, records, trials, skipped)
+    summary = _summaries(methods, run_methods, w_true, records, trials)
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 

@@ -288,19 +288,15 @@ def refine_model(h: Homography, inliers) -> Refinement:
 
     cost = float(r @ r)
     start_cost = cost
-    best_params = params
-    best_cost = cost
     lam = 1e-3
     eye = np.eye(8)
-    attempts = 0
-    for _ in range(100):
-        attempts += 1
+    for attempts in range(1, 101):
         grad = jac.T @ r
         normal = jac.T @ jac
         try:
             delta = np.linalg.solve(normal + lam * eye, -grad)
         except np.linalg.LinAlgError:
-            if best_cost < start_cost:
+            if cost < start_cost:
                 break
             return Refinement(h, initial_cost, initial_cost, attempts, degraded=True)
         step = float(np.linalg.norm(delta))
@@ -313,8 +309,6 @@ def refine_model(h: Homography, inliers) -> Refinement:
             rel_drop = (cost - cand_cost) / cost if cost > 0.0 else 0.0
             params, r, jac, cost = candidate, r2, jac2, cand_cost
             lam = max(lam * 0.1, 1e-15)
-            if cost < best_cost:
-                best_params, best_cost = params, cost
             if rel_drop < 1e-10 or step < 1e-12:
                 break
         else:
@@ -322,10 +316,10 @@ def refine_model(h: Homography, inliers) -> Refinement:
             if step < 1e-12 or lam > 1e15:
                 break
 
-    if best_cost >= start_cost:
+    if cost >= start_cost:
         return Refinement(h, initial_cost, initial_cost, attempts, degraded=False)
     mat = np.empty((3, 3))
-    mat.flat[:8] = best_params
+    mat.flat[:8] = params
     mat[2, 2] = 1.0
     try:
         refined = Homography(mat)
@@ -333,7 +327,7 @@ def refine_model(h: Homography, inliers) -> Refinement:
         return Refinement(h, initial_cost, initial_cost, attempts, degraded=True)
     # initial_cost is measured on h as given; start_cost on the h9=1 chart.
     # They differ only by canonicalization rounding.
-    return Refinement(refined, initial_cost, best_cost, attempts, degraded=False)
+    return Refinement(refined, initial_cost, cost, attempts, degraded=False)
 
 
 def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .exceptions import DegenerateConfiguration, IllConditioned, InvalidFeature
+from .exceptions import DegenerateConfiguration, IllConditioned
 from .geometry import Correspondence, Homography, pool_arrays
 
 # A minimal-sample source triple whose triangle area is below this fraction of
@@ -41,8 +41,6 @@ def single_match_homography(c: Correspondence) -> Homography:
     (s2/s1) R(theta2 - theta1) and the translation is chosen so c.a.p lands
     exactly on c.b.p.
     """
-    if c.a.scale <= 0.0 or c.b.scale <= 0.0:
-        raise InvalidFeature("both features need a positive scale")
     r = c.b.scale / c.a.scale
     delta = c.b.angle - c.a.angle
     cos_d = math.cos(delta)

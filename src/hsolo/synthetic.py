@@ -26,6 +26,8 @@ from .geometry import (
 )
 
 _CENTRAL_FRACTION = 0.8
+# log bounds of the log-uniform scale draw: image-1 scales, and image-2 scales of outliers
+_LOG_SCALE_RANGE = (math.log(0.5), math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,7 @@ class SceneSpec:
     ``image_bounds`` = (width, height) applies to both images. Pixel noise
     perturbs target points only; scale noise is multiplicative log-normal and
     angle noise additive Gaussian, both applied to the target feature's
-    byproducts. ``outlier_scale_range`` bounds the log-uniform scale draw for
-    outlier features.
+    byproducts.
     """
 
     truth: Homography
@@ -46,7 +47,6 @@ class SceneSpec:
     pixel_noise_sigma: float = 0.0
     scale_noise_sigma: float = 0.0
     angle_noise_sigma: float = 0.0
-    outlier_scale_range: tuple[float, float] = (0.5, 2.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -60,9 +60,6 @@ class SceneSpec:
         for name in ("pixel_noise_sigma", "scale_noise_sigma", "angle_noise_sigma"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        lo, hi = self.outlier_scale_range
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"invalid outlier_scale_range {self.outlier_scale_range}")
 
 
 @dataclass(frozen=True)
@@ -164,12 +161,12 @@ def generate_scene(spec: SceneSpec) -> tuple[Pool, np.ndarray]:
     width, height = spec.image_bounds
     n_in = round(spec.n_total * spec.inlier_rate)
     n_out = spec.n_total - n_in
+    log_lo, log_hi = _LOG_SCALE_RANGE
 
     # one row per correspondence, in the file's columns
     rows = np.empty((spec.n_total, 8))
     if n_in > 0:
         sources, images = _sample_inlier_sources(spec, rng, n_in)
-        log_lo, log_hi = math.log(0.5), math.log(2.0)
         for i, ((sx, sy), (bx, by)) in enumerate(zip(sources.tolist(), images.tolist())):
             if spec.pixel_noise_sigma > 0.0:
                 bx += rng.normal(0.0, spec.pixel_noise_sigma)
@@ -185,7 +182,6 @@ def generate_scene(spec: SceneSpec) -> tuple[Pool, np.ndarray]:
                 theta2 += rng.normal(0.0, spec.angle_noise_sigma)
             rows[i] = (sx, sy, s1, theta1, bx, by, s2, theta2)
 
-    log_lo, log_hi = math.log(spec.outlier_scale_range[0]), math.log(spec.outlier_scale_range[1])
     # Per outlier: u1, v1, u2, v2, log s1, log s2, theta1, theta2. A scalar
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), so one row-major
     # block of rng.random draws gives the same values and leaves the

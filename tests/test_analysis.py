@@ -41,6 +41,18 @@ def brute_force_dbscan(values, eps, min_pts):
     return labels
 
 
+def brute_force_winner(values, labels):
+    """Indices of the largest cluster, ties to the lower mean; empty when all is noise."""
+    groups = {}
+    for i, lab in enumerate(labels):
+        if lab != NOISE:
+            groups.setdefault(lab, []).append(i)
+    if not groups:
+        return frozenset()
+    best = min(groups.values(), key=lambda g: (-len(g), float(np.mean([values[i] for i in g]))))
+    return frozenset(best)
+
+
 def cluster_partition(labels):
     """Group indices by label, ignoring noise, as a set of frozensets."""
     groups = {}
@@ -70,6 +82,7 @@ class TestDbscan1d:
         assert res.largest_cluster_size == 0
         assert res.success_rate == 0.0
         assert math.isnan(res.cluster_mean_error)
+        assert res.winner == NOISE
         assert all(lab == NOISE for lab in res.labels)
 
     def test_min_pts_one_makes_every_point_core(self):
@@ -83,6 +96,7 @@ class TestDbscan1d:
         res = dbscan_1d(values, eps=0.5, min_pts=2)
         assert res.largest_cluster_size == 3
         assert res.cluster_mean_error == 0.0
+        assert [i for i, lab in enumerate(res.labels) if lab == res.winner] == [0, 1, 2]
 
     def test_neighborhood_is_closed_interval(self):
         # Points exactly eps apart are mutual neighbors.
@@ -109,6 +123,9 @@ class TestDbscan1d:
             noise_mine = {i for i, lab in enumerate(res.labels) if lab == NOISE}
             noise_want = {i for i, lab in enumerate(want) if lab == NOISE}
             assert noise_mine == noise_want
+            won = {i for i, lab in enumerate(res.labels) if lab == res.winner != NOISE}
+            assert won == brute_force_winner(values, want)
+            assert len(won) == res.largest_cluster_size
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -95,6 +95,29 @@ class TestSyntheticSweep:
             for r in r4.records
         ]
 
+    def test_repeated_method_is_rejected(self):
+        # A repeated name would run hsolo at w=0.05, where its note says it is skipped.
+        sweep = SceneSweep((640.0, 480.0), 200, (0.05, 0.3))
+        with pytest.raises(ValueError, match="once"):
+            run_benchmark(sweep, ["hsolo", "hsolo", "ransac"], 2, FAST_HSOLO, FAST_RANSAC, seed=1)
+
+    def test_method_order_does_not_change_a_method_s_records(self):
+        sweep = SceneSweep((640.0, 480.0), 200, (0.05, 0.3))
+        ab = run_benchmark(sweep, ["hsolo", "ransac"], 3, FAST_HSOLO, FAST_RANSAC, seed=5)
+        ba = run_benchmark(sweep, ["ransac", "hsolo"], 3, FAST_HSOLO, FAST_RANSAC, seed=5)
+
+        def fields(res, method):
+            return [
+                (r.w_true, r.success, r.mean_reproj_error, r.iterations, r.seed)
+                for r in res.records
+                if r.method == method
+            ]
+
+        for method in ("hsolo", "ransac"):
+            assert fields(ab, method) == fields(ba, method) != []
+        # c = 10 expected inliers at w = 0.05: hsolo is skipped there in either order
+        assert summary_cell(ab, "hsolo", 0.05).skipped == summary_cell(ba, "hsolo", 0.05).skipped == 3
+
     def test_validation(self):
         sweep = SceneSweep((640.0, 480.0), 200, (0.3,))
         with pytest.raises(ValueError):

@@ -212,6 +212,14 @@ class TestBench:
         assert rc == 0
         assert "ransac" in capsys.readouterr().out
 
+    def test_repeated_method_is_bad_input(self, capsys):
+        rc = main(["bench", "--trials", "2", "--n", "200", "--w", "0.05,0.3",
+                   "--methods", "hsolo,hsolo,ransac", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_worker_count_invariant_output(self, capsys):
         argv = ["bench", "--w", "0.3", "--n", "200", "--trials", "4", "--methods", "hsolo",
                 "--max-iterations", "10000", "--seed", "6"]

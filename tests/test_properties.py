@@ -1,10 +1,12 @@
 """Property tests of the invariants the README promises.
 
 Hypothesis draws the inputs: arbitrary valid pool rows for the file round
-trip, small synthetic scenes for the estimators. Example counts are kept small
-so the module runs in a few seconds.
+trip and the command line, small synthetic scenes for the estimators and the
+polish. Example counts are kept small so the module runs in a few seconds.
 """
 
+import contextlib
+import io
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from hsolo import (
+    Homography,
     HsoloConfig,
     InfeasibleSpec,
     NoModelFound,
@@ -23,8 +26,11 @@ from hsolo import (
     load_correspondences,
     random_scene_truth,
     ransac_homography,
+    refine_model,
     save_correspondences,
 )
+from hsolo.cli import main
+from hsolo.fileio import CORR_HEADER
 from hsolo.geometry import Pool, pool_arrays, transfer_errors
 
 FAST = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -52,10 +58,10 @@ def test_file_round_trip_gives_an_equal_pool(rows, flags):
 
 
 @st.composite
-def scenes(draw):
+def scene_specs(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     noisy = draw(st.booleans())
-    spec = SceneSpec(
+    return SceneSpec(
         truth=random_scene_truth(np.random.default_rng(seed), (640.0, 480.0)),
         image_bounds=(640.0, 480.0),
         n_total=draw(st.integers(8, 60)),
@@ -65,10 +71,18 @@ def scenes(draw):
         angle_noise_sigma=0.05 * noisy,
         seed=seed,
     )
+
+
+def _generate(spec):
     try:
-        pool, _ = generate_scene(spec)
+        return generate_scene(spec)
     except InfeasibleSpec:
         assume(False)
+
+
+@st.composite
+def scenes(draw):
+    pool, _ = _generate(draw(scene_specs()))
     return pool, draw(st.integers(0, 2**31 - 1))
 
 
@@ -122,3 +136,52 @@ def test_degenerate_pools_find_no_model(scene):
     for degenerate in (identical, Pool(rows)):
         for method in ("hsolo", "ransac"):
             assert _solve(method, degenerate, seed) is None
+
+
+@FAST
+@given(
+    spec=scene_specs(),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([1e-9, 1e-6, 1e-3, 1e-1]),
+)
+def test_refinement_never_raises_cost(spec, seed, size):
+    pool, mask = _generate(spec)
+    assume(mask.sum() >= 4)
+    # every entry of the truth scaled by its own factor in 1 +- size
+    factors = 1.0 + size * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, 3))
+    ref = refine_model(Homography(spec.truth.m * factors), pool[mask])
+    assert ref.final_cost <= ref.initial_cost + 1e-12
+
+
+coordinate = st.floats(-1e200, 1e200)
+scale = st.floats(1e-200, 1e200)
+angle = st.floats(-10.0, 10.0)
+full_row = st.tuples(coordinate, coordinate, scale, angle, coordinate, coordinate, scale, angle)
+point_row = st.tuples(coordinate, coordinate, coordinate, coordinate)
+
+
+@FAST
+@given(
+    rows=st.one_of(st.lists(full_row, max_size=12), st.lists(point_row, max_size=12)),
+    flags=st.none() | st.lists(st.booleans(), min_size=12, max_size=12),
+)
+def test_a_file_that_loads_never_ends_in_a_traceback(rows, flags):
+    lines = [",".join(repr(float(x)) for x in row) for row in rows]
+    if flags is not None:
+        lines = [f"{line},{int(flag)}" for line, flag in zip(lines, flags)]
+    byproducts = bool(rows) and len(rows[0]) == 8
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.csv"
+        path.write_text(CORR_HEADER + "\n" + "".join(line + "\n" for line in lines))
+        load_correspondences(path)  # the file is valid input
+        codes = {}
+        for name, argv in [
+            ("ransac", ["solve", str(path), "--method", "ransac"]),
+            ("hsolo", ["solve", str(path)]),
+            ("calibrate", ["calibrate-epsilon-r", str(path)]),
+        ]:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes[name] = main(argv)
+    assert codes["ransac"] in ((0, 1) if len(rows) >= 4 else (2,))
+    assert codes["hsolo"] in ((0, 1) if byproducts and len(rows) >= 5 else (2,))
+    assert codes["calibrate"] in (0, 2)

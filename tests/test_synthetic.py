@@ -99,7 +99,6 @@ class TestSceneSpecValidation:
         assert spec.pixel_noise_sigma == 0.0
         assert spec.scale_noise_sigma == 0.0
         assert spec.angle_noise_sigma == 0.0
-        assert spec.outlier_scale_range == (0.5, 2.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -109,7 +108,6 @@ class TestSceneSpecValidation:
             {"inlier_rate": 1.5},
             {"image_bounds": (0.0, 480.0)},
             {"pixel_noise_sigma": -1.0},
-            {"outlier_scale_range": (2.0, 0.5)},
         ],
     )
     def test_validation(self, kwargs):

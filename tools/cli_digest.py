@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 30 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 32 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -56,6 +56,8 @@ COMMANDS = [
     "bench --input unflagged.csv --trials 4",
     "bench --input points.csv --methods ransac --trials 2",
     "bench --input empty.csv --methods ransac --trials 2",
+    "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
+    "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
     "theory",
     "theory --w 0.01,0.1 --n-values 4,7",
 ]
