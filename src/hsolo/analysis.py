@@ -25,16 +25,12 @@ class ClusterResult:
     """Density clustering of per-trial mean errors.
 
     ``labels`` holds a cluster id per input value (in input order) or NOISE.
-    ``winner`` is the id of the largest cluster (ties to the lower mean) and
-    ``cluster_mean_error`` its mean; they are NOISE and NaN when everything
-    is noise.
+    ``winner`` is the id of the largest cluster (ties to the lower mean), or
+    NOISE when everything is noise.
     """
 
     labels: np.ndarray
     winner: int
-    largest_cluster_size: int
-    success_rate: float
-    cluster_mean_error: float
 
 
 def dbscan_1d(values, eps: float, min_pts: int) -> ClusterResult:
@@ -85,13 +81,7 @@ def dbscan_1d(values, eps: float, min_pts: int) -> ClusterResult:
         mean = float(members.mean())
         if members.size > best_size or (members.size == best_size and mean < best_mean):
             winner, best_size, best_mean = c, int(members.size), mean
-    return ClusterResult(
-        labels=labels,
-        winner=winner,
-        largest_cluster_size=best_size,
-        success_rate=best_size / n,
-        cluster_mean_error=best_mean,
-    )
+    return ClusterResult(labels, winner)
 
 
 @dataclass(frozen=True)

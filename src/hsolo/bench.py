@@ -31,6 +31,8 @@ from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 SUCCESS_ERROR_PX = 2.0
 METHODS = ("hsolo", "ransac")
+# clustering radius (px) for files without a ground-truth column
+_CLUSTER_EPS_PX = 0.5
 
 _EVAL_GRID = 5
 
@@ -189,16 +191,20 @@ def _summarize(method, w_target, records, trials, skipped) -> SummaryRow:
     )
 
 
-def _cluster_success(records, methods, eps, min_pts):
-    """Re-judge success by clustering mean errors (file input without truth)."""
+def _cluster_success(records, methods):
+    """Re-judge success by clustering mean errors (file input without truth).
+
+    A cluster needs max(5, ceil(0.02 * trials)) members, so fewer than 5
+    trials of a method never find one.
+    """
     out = [replace(r, success=False) for r in records]
     for method in methods:
         idx = [i for i, r in enumerate(records) if r.method == method]
         finite = [i for i in idx if math.isfinite(records[i].mean_reproj_error)]
         if not finite:
             continue
-        pts = min_pts if min_pts is not None else max(5, math.ceil(0.02 * len(idx)))
-        cr = dbscan_1d([records[i].mean_reproj_error for i in finite], eps, pts)
+        min_pts = max(5, math.ceil(0.02 * len(idx)))
+        cr = dbscan_1d([records[i].mean_reproj_error for i in finite], _CLUSTER_EPS_PX, min_pts)
         for label, i in zip(cr.labels, finite):
             if label == cr.winner != NOISE:
                 out[i] = replace(out[i], success=True)
@@ -214,8 +220,6 @@ def run_benchmark(
     *,
     seed: int = 0,
     workers: int = 1,
-    dbscan_eps: float = 0.5,
-    dbscan_min_pts: int | None = None,
 ) -> BenchmarkResult:
     """Run the benchmark on a :class:`SceneSweep` or :class:`LoadedCorrespondences`.
 
@@ -243,7 +247,7 @@ def run_benchmark(
     if isinstance(source, SceneSweep):
         return _run_synthetic(source, methods, trials, configs, seed, workers)
     if isinstance(source, LoadedCorrespondences):
-        return _run_file(source, methods, trials, configs, seed, workers, dbscan_eps, dbscan_min_pts)
+        return _run_file(source, methods, trials, configs, seed, workers)
     raise TypeError(f"source must be SceneSweep or LoadedCorrespondences, got {type(source)}")
 
 
@@ -279,9 +283,7 @@ def _run_synthetic(sweep, methods, trials, configs, seed, workers) -> BenchmarkR
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 
-def _run_file(
-    loaded, methods, trials, configs, seed, workers, dbscan_eps, dbscan_min_pts
-) -> BenchmarkResult:
+def _run_file(loaded, methods, trials, configs, seed, workers) -> BenchmarkResult:
     notes: list[str] = []
     if "hsolo" in methods and not loaded.has_byproducts:
         raise ValueError(
@@ -307,7 +309,7 @@ def _run_file(
     ]
     records = _run_trials(_file_trial, args, workers) if run_methods else []
     if mask is None and records:
-        records = _cluster_success(records, run_methods, dbscan_eps, dbscan_min_pts)
+        records = _cluster_success(records, run_methods)
     summary = _summaries(methods, run_methods, w_true, records, trials)
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 

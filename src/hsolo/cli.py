@@ -156,8 +156,6 @@ def _cmd_bench(args) -> int:
         r_cfg,
         seed=args.seed,
         workers=args.workers,
-        dbscan_eps=args.dbscan_eps,
-        dbscan_min_pts=args.dbscan_min_pts,
     )
     sys.stdout.write(format_summary(result, include_timing=args.timing))
     if args.records_out:
@@ -258,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--workers", type=int, default=1, help="trial worker threads")
     p_bench.add_argument("--records-out", help="also write the per-trial table here")
     p_bench.add_argument("--timing", action="store_true", help="include real wall times")
-    p_bench.add_argument("--dbscan-eps", type=float, default=0.5)
-    p_bench.add_argument("--dbscan-min-pts", type=int, default=None)
     _add_estimator_flags(p_bench)
 
     p_theory = sub.add_parser("theory", help="iteration-count curves")

@@ -281,40 +281,40 @@ def refine_model(h: Homography, inliers) -> Refinement:
         return Refinement(h, initial_cost, initial_cost, 0, degraded=True)
     params = (m / m[2, 2]).ravel()[:8].copy()
 
+    # overflow at far-out coordinates is caught by the isfinite checks
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r, jac = _residuals_and_jacobian(params, src, dst)
-    if not (np.isfinite(r).all() and np.isfinite(jac).all()):
-        return Refinement(h, initial_cost, initial_cost, 0, degraded=True)
+        if not (np.isfinite(r).all() and np.isfinite(jac).all()):
+            return Refinement(h, initial_cost, initial_cost, 0, degraded=True)
 
-    cost = float(r @ r)
-    start_cost = cost
-    lam = 1e-3
-    eye = np.eye(8)
-    for attempts in range(1, 101):
-        grad = jac.T @ r
-        normal = jac.T @ jac
-        try:
-            delta = np.linalg.solve(normal + lam * eye, -grad)
-        except np.linalg.LinAlgError:
-            if cost < start_cost:
-                break
-            return Refinement(h, initial_cost, initial_cost, attempts, degraded=True)
-        step = float(np.linalg.norm(delta))
-        candidate = params + delta
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cost = float(r @ r)
+        start_cost = cost
+        lam = 1e-3
+        eye = np.eye(8)
+        for attempts in range(1, 101):
+            grad = jac.T @ r
+            normal = jac.T @ jac
+            try:
+                delta = np.linalg.solve(normal + lam * eye, -grad)
+            except np.linalg.LinAlgError:
+                if cost < start_cost:
+                    break
+                return Refinement(h, initial_cost, initial_cost, attempts, degraded=True)
+            step = float(np.linalg.norm(delta))
+            candidate = params + delta
             r2, jac2 = _residuals_and_jacobian(candidate, src, dst)
-        ok = np.isfinite(r2).all() and np.isfinite(jac2).all()
-        cand_cost = float(r2 @ r2) if ok else math.inf
-        if cand_cost < cost:
-            rel_drop = (cost - cand_cost) / cost if cost > 0.0 else 0.0
-            params, r, jac, cost = candidate, r2, jac2, cand_cost
-            lam = max(lam * 0.1, 1e-15)
-            if rel_drop < 1e-10 or step < 1e-12:
-                break
-        else:
-            lam *= 10.0
-            if step < 1e-12 or lam > 1e15:
-                break
+            ok = np.isfinite(r2).all() and np.isfinite(jac2).all()
+            cand_cost = float(r2 @ r2) if ok else math.inf
+            if cand_cost < cost:
+                rel_drop = (cost - cand_cost) / cost if cost > 0.0 else 0.0
+                params, r, jac, cost = candidate, r2, jac2, cand_cost
+                lam = max(lam * 0.1, 1e-15)
+                if rel_drop < 1e-10 or step < 1e-12:
+                    break
+            else:
+                lam *= 10.0
+                if step < 1e-12 or lam > 1e15:
+                    break
 
     if cost >= start_cost:
         return Refinement(h, initial_cost, initial_cost, attempts, degraded=False)

@@ -32,10 +32,6 @@ _FULL_FIELDS = 8  # u1,v1,s1,theta1,u2,v2,s2,theta2
 _POINT_FIELDS = 4  # u1,v1,u2,v2
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 @dataclass(frozen=True)
 class LoadedCorrespondences:
     """A parsed correspondence file.
@@ -132,15 +128,14 @@ def save_correspondences(path, correspondences, inlier_mask=None) -> None:
     ground-truth column.
     """
     rows = as_pool(correspondences).rows
-    if inlier_mask is not None and len(inlier_mask) != len(rows):
-        raise ValueError(f"mask length {len(inlier_mask)} != {len(rows)} correspondences")
-    out = [CORR_HEADER]
-    for i, row in enumerate(rows.tolist()):
-        fields = [_fmt(x) for x in row]
-        if inlier_mask is not None:
-            fields.append("1" if inlier_mask[i] else "0")
-        out.append(",".join(fields))
-    Path(path).write_text("\n".join(out) + "\n")
+    fmt = ",".join(["%.17g"] * _FULL_FIELDS)
+    if inlier_mask is not None:
+        if len(inlier_mask) != len(rows):
+            raise ValueError(f"mask length {len(inlier_mask)} != {len(rows)} correspondences")
+        rows = np.column_stack([rows, np.asarray(inlier_mask, dtype=bool)])
+        fmt += ",%d"
+    lines = [fmt % tuple(row) for row in rows.tolist()]
+    Path(path).write_text("\n".join([CORR_HEADER, *lines]) + "\n")
 
 
 def _config_echo(config) -> str:

@@ -194,8 +194,8 @@ def ransac_homography(sample_pool, score_pool, w_init: float, config: RansacConf
         chunk = min(batch, k - it)
         batch = min(2 * batch, _CHUNK)
         samples = _draw_distinct(rng, ns, config.sample_size, chunk)
-        models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
             valid &= valid_homography(models.transpose(1, 2, 0))
         supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
         for j in range(chunk):

@@ -64,22 +64,19 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class LocalByproducts:
-    """First-order behavior of a homography at a point.
-
-    ``flipped`` marks an orientation-reversing Jacobian; ``scale_ratio`` is
-    then the geometric mean of the singular values instead of sqrt(det).
-    """
+    """First-order behavior of a homography at a point: sqrt|det J| and the polar angle of J."""
 
     scale_ratio: float
     angle_delta: float
-    flipped: bool
 
 
 def jacobian_byproducts(truth: Homography, p: Point2) -> LocalByproducts:
     """Scale ratio and rotation angle an ideal detector would report at p.
 
-    Computes the analytic 2x2 Jacobian of the projective map at p; the angle
-    comes from its orthogonal polar factor and the scale from its determinant.
+    Computes the analytic 2x2 Jacobian J of the projective map at p; the angle
+    is that of its orthogonal polar factor and the scale is sqrt|det J|. When
+    det J < 0 that factor is the reflection [[c, s], [s, -c]] whose direction
+    (c, s) is that of (j11 - j22, j21 + j12).
 
     Raises :class:`DegenerateProjection` when p lies too close to the map's
     line at infinity.
@@ -98,14 +95,9 @@ def jacobian_byproducts(truth: Homography, p: Point2) -> LocalByproducts:
     det = j11 * j22 - j12 * j21
     if det > 0.0:
         angle = math.atan2(j21 - j12, j11 + j22)
-        return LocalByproducts(math.sqrt(det), normalize_angle(angle), False)
-    jac = np.array([[j11, j12], [j21, j22]])
-    u, s, vt = np.linalg.svd(jac)
-    if s[0] <= 0.0:
-        raise DegenerateProjection(f"vanishing Jacobian at {p}")
-    q = u @ vt
-    angle = math.atan2(q[1, 0], q[0, 0])
-    return LocalByproducts(math.sqrt(s[0] * s[1]), normalize_angle(angle), True)
+        return LocalByproducts(math.sqrt(det), normalize_angle(angle))
+    angle = math.atan2(j21 + j12, j11 - j22)
+    return LocalByproducts(math.sqrt(-det), normalize_angle(angle))
 
 
 def _sample_inlier_sources(

@@ -53,6 +53,13 @@ def brute_force_winner(values, labels):
     return frozenset(best)
 
 
+def winning_values(values, res):
+    """The values in the winning cluster; empty when everything is noise."""
+    if res.winner == NOISE:
+        return np.empty(0)
+    return np.asarray(values, dtype=float)[res.labels == res.winner]
+
+
 def cluster_partition(labels):
     """Group indices by label, ignoring noise, as a set of frozensets."""
     groups = {}
@@ -66,36 +73,33 @@ class TestDbscan1d:
     def test_two_groups_with_far_noise(self):
         values = [1.0, 1.1, 1.2, 50.0, 51.0]
         res = dbscan_1d(values, eps=0.5, min_pts=2)
-        assert res.largest_cluster_size == 3
-        assert res.success_rate == pytest.approx(0.6)
-        assert res.cluster_mean_error == pytest.approx(1.1)
+        won = winning_values(values, res)
+        assert won.size == 3
+        assert won.size / len(values) == pytest.approx(0.6)
+        assert won.mean() == pytest.approx(1.1)
         assert res.labels[0] == res.labels[1] == res.labels[2] != NOISE
 
     def test_identical_values_form_one_cluster(self):
         res = dbscan_1d([7.0] * 10, eps=0.5, min_pts=5)
-        assert res.largest_cluster_size == 10
-        assert res.success_rate == 1.0
-        assert res.cluster_mean_error == 7.0
+        won = winning_values([7.0] * 10, res)
+        assert won.size == 10
+        assert won.mean() == 7.0
 
     def test_all_noise_when_isolated(self):
         res = dbscan_1d([0.0, 10.0, 20.0, 30.0], eps=1.0, min_pts=2)
-        assert res.largest_cluster_size == 0
-        assert res.success_rate == 0.0
-        assert math.isnan(res.cluster_mean_error)
         assert res.winner == NOISE
         assert all(lab == NOISE for lab in res.labels)
 
     def test_min_pts_one_makes_every_point_core(self):
         res = dbscan_1d([0.0, 0.5, 1.0, 5.0], eps=0.6, min_pts=1)
         # Chained reachability merges the first three; the last is its own cluster.
-        assert res.largest_cluster_size == 3
+        assert np.sum(res.labels == res.winner) == 3
         assert res.labels[3] != NOISE
 
     def test_tied_cluster_sizes_prefer_lower_mean(self):
         values = [0.0, 0.0, 0.0, 10.0, 10.0, 10.0]
         res = dbscan_1d(values, eps=0.5, min_pts=2)
-        assert res.largest_cluster_size == 3
-        assert res.cluster_mean_error == 0.0
+        assert winning_values(values, res).tolist() == [0.0, 0.0, 0.0]
         assert [i for i, lab in enumerate(res.labels) if lab == res.winner] == [0, 1, 2]
 
     def test_neighborhood_is_closed_interval(self):
@@ -125,7 +129,6 @@ class TestDbscan1d:
             assert noise_mine == noise_want
             won = {i for i, lab in enumerate(res.labels) if lab == res.winner != NOISE}
             assert won == brute_force_winner(values, want)
-            assert len(won) == res.largest_cluster_size
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,25 @@ def test_header_only_file_is_bad_input_for_ransac(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sample pool has 0 < 4 correspondences\n"
+
+
+@pytest.mark.parametrize("scale, solve_code", [(1e150, 0), (1e200, 1)])
+def test_far_out_coordinates_print_no_numpy_warning(tmp_path, scale, solve_code):
+    """40 rows mapping each point to itself, at coordinates near ``scale``."""
+    pts = np.random.default_rng(0).uniform(0.0, 1.0, size=(40, 2)) * scale
+    path = tmp_path / "far.csv"
+    path.write_text(
+        f"{CORR_HEADER}\n" + "".join(f"{u!r},{v!r},1.0,0.0,{u!r},{v!r},1.0,0.0\n" for u, v in pts.tolist())
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        codes = [
+            main(["solve", str(path), "--method", "ransac"]),
+            main(["solve", str(path)]),
+            main(["bench", "--input", str(path), "--trials", "2"]),
+        ]
+    assert codes == [solve_code, solve_code, 0]
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestBench:

@@ -8,6 +8,7 @@ polish. Example counts are kept small so the module runs in a few seconds.
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,13 +176,16 @@ def test_a_file_that_loads_never_ends_in_a_traceback(rows, flags):
         path.write_text(CORR_HEADER + "\n" + "".join(line + "\n" for line in lines))
         load_correspondences(path)  # the file is valid input
         codes = {}
-        for name, argv in [
-            ("ransac", ["solve", str(path), "--method", "ransac"]),
-            ("hsolo", ["solve", str(path)]),
-            ("calibrate", ["calibrate-epsilon-r", str(path)]),
-        ]:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes[name] = main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name, argv in [
+                ("ransac", ["solve", str(path), "--method", "ransac"]),
+                ("hsolo", ["solve", str(path)]),
+                ("calibrate", ["calibrate-epsilon-r", str(path)]),
+            ]:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    codes[name] = main(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert codes["ransac"] in ((0, 1) if len(rows) >= 4 else (2,))
     assert codes["hsolo"] in ((0, 1) if byproducts and len(rows) >= 5 else (2,))
     assert codes["calibrate"] in (0, 2)

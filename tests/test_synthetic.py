@@ -56,14 +56,12 @@ class TestJacobianByproducts:
         lb = jacobian_byproducts(Homography.identity(), Point2(100.0, 100.0))
         assert lb.scale_ratio == 1.0
         assert lb.angle_delta == 0.0
-        assert lb.flipped is False
 
     def test_pure_similarity(self):
         h = rotation_about(0.0, 0.0, math.pi / 6, scale=2.0)
         lb = jacobian_byproducts(h, Point2(37.0, -5.0))
         assert lb.scale_ratio == pytest.approx(2.0, rel=1e-12)
         assert lb.angle_delta == pytest.approx(math.pi / 6, rel=1e-12)
-        assert lb.flipped is False
 
     def test_translation_only(self):
         lb = jacobian_byproducts(Homography.translation(50.0, -20.0), Point2(1.0, 2.0))
@@ -80,11 +78,19 @@ class TestJacobianByproducts:
             delta = (lb.angle_delta - fd_angle + math.pi) % (2 * math.pi) - math.pi
             assert abs(delta) < 1e-5
 
-    def test_reflection_sets_flipped(self):
-        h = Homography(np.diag([-1.0, 1.0, 1.0]))
-        lb = jacobian_byproducts(h, Point2(10.0, 10.0))
-        assert lb.flipped is True
-        assert lb.scale_ratio == pytest.approx(1.0)
+    def test_reflection_matches_svd_polar_factor(self, rng):
+        for _ in range(200):
+            m = random_truth(rng).m * [-1.0, 1.0, 1.0]  # mirror the source x axis
+            p = Point2(rng.uniform(50, 600), rng.uniform(50, 430))
+            x, y, w = m @ (p.u, p.v, 1.0)
+            jac = (m[:2, :2] - np.outer((x / w, y / w), m[2, :2])) / w
+            assert np.linalg.det(jac) < 0.0
+            u, sv, vt = np.linalg.svd(jac)
+            q = u @ vt
+            lb = jacobian_byproducts(Homography(m), p)
+            assert lb.scale_ratio == pytest.approx(math.sqrt(sv[0] * sv[1]), rel=1e-12)
+            delta = lb.angle_delta - math.atan2(q[1, 0], q[0, 0])
+            assert abs((delta + math.pi) % (2 * math.pi) - math.pi) < 1e-12
 
     def test_degenerate_point_raises(self):
         h = Homography(np.array([[1.0, 0, 0], [0, 1.0, 0], [0.01, 0, 1.0]]))

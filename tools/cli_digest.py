@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 32 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 36 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -33,6 +33,7 @@ COMMANDS = [
     "generate c.csv --n 200 --w 0.3 --seed 3 --truth 1,0,25,0,1,-10,0,0,1",
     "generate d.csv --n 300 --w 0.2 --seed 4 --width 4000 --height 3000",
     "generate e.csv --truth 1,0,0,2,0,0,0,0,1",
+    "generate m.csv --n 300 --w 0.2 --seed 5 --truth=-1,0,640,0,1,0,0,0,1",
     "solve a.csv",
     "solve a.csv --method ransac",
     "solve b.csv",
@@ -40,6 +41,8 @@ COMMANDS = [
     "solve c.csv --nf 20 --epsilon-r 10",
     "solve d.csv",
     "solve d.csv --method ransac",
+    "solve m.csv",
+    "solve m.csv --method ransac",
     "solve a.csv -o result.txt --seed 5",
     "solve points.csv --method ransac",
     "solve points.csv",
@@ -54,6 +57,7 @@ COMMANDS = [
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
     "bench --input a.csv --trials 4 --records-out records.tsv",
     "bench --input unflagged.csv --trials 4",
+    "bench --input unflagged.csv --trials 12 --max-iterations 10000",
     "bench --input points.csv --methods ransac --trials 2",
     "bench --input empty.csv --methods ransac --trials 2",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
