@@ -22,7 +22,6 @@ from .estimator import (
     HsoloConfig,
     Refinement,
     estimate_epsilon_r,
-    filter_by_model,
     hsolo_estimate,
     refine_model,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "dbscan_1d",
     "dlt_solve",
     "estimate_epsilon_r",
-    "filter_by_model",
     "generate_scene",
     "hsolo_estimate",
     "jacobian_byproducts",

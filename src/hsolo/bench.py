@@ -26,7 +26,7 @@ from .estimator import HsoloConfig, hsolo_estimate
 from .exceptions import InfeasibleSpec, NoModelFound
 from .fileio import LoadedCorrespondences
 from .geometry import pool_arrays, project_points, transfer_errors
-from .robust import EstimationResult, RansacConfig, baseline_w_init, ransac_homography
+from .robust import RansacConfig, ransac_homography
 from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 SUCCESS_ERROR_PX = 2.0
@@ -123,10 +123,11 @@ def _method_records(pool, methods, configs, streams, w_true, held_out, trial_see
         config = replace(configs[method], seed=_seed_int(streams[method]))
         t0 = time.perf_counter()
         try:
-            if method == "hsolo":
-                result: EstimationResult | None = hsolo_estimate(pool, config)
-            else:
-                result = ransac_homography(pool, pool, baseline_w_init(pool, config), config)
+            result = (
+                hsolo_estimate(pool, config)
+                if method == "hsolo"
+                else ransac_homography(pool, pool, None, config)
+            )
         except NoModelFound:
             result = None
         elapsed = time.perf_counter() - t0
@@ -229,8 +230,9 @@ def run_benchmark(
     The single-correspondence method is skipped (with a note) at inlier rates
     where the expected true-inlier count c fails c / n_f >= w_f, since its
     filtered-set assumption cannot hold there. Point-only files can only run
-    the plain RANSAC baseline: the file must carry scale/angle byproduct
-    columns for the seeded method.
+    the plain RANSAC baseline: the seeded method raises
+    :class:`~hsolo.exceptions.FileFormatError` on them. Files without a
+    ground-truth column report ``median_error`` as NaN.
     """
     methods = list(methods)
     if not methods:
@@ -285,32 +287,28 @@ def _run_synthetic(sweep, methods, trials, configs, seed, workers) -> BenchmarkR
 
 def _run_file(loaded, methods, trials, configs, seed, workers) -> BenchmarkResult:
     notes: list[str] = []
-    if "hsolo" in methods and not loaded.has_byproducts:
-        raise ValueError(
-            "the input file has point-only correspondences; the hsolo method needs "
-            "the scale/angle byproduct columns (8-field rows). Run with ransac only."
-        )
+    pool = loaded.byproduct_pool() if "hsolo" in methods else loaded.correspondences
     mask = loaded.inlier_mask
     run_methods = methods
     if mask is not None:
         c = int(mask.sum())
         w_true = float(mask.mean())
         run_methods = _runnable(methods, c, configs, notes, f": {c} flagged inliers")
-        eval_pool = loaded.correspondences[mask]
+        eval_pool = pool[mask]
     else:
         w_true = float("nan")
-        eval_pool = loaded.correspondences
+        eval_pool = pool
         notes.append("no ground-truth column: success judged by clustering mean errors")
     held_out = pool_arrays(eval_pool)
 
-    args = [
-        (loaded.correspondences, held_out, w_true, ti, seed, run_methods, configs)
-        for ti in range(trials)
-    ]
+    args = [(pool, held_out, w_true, ti, seed, run_methods, configs) for ti in range(trials)]
     records = _run_trials(_file_trial, args, workers) if run_methods else []
     if mask is None and records:
         records = _cluster_success(records, run_methods)
     summary = _summaries(methods, run_methods, w_true, records, trials)
+    if mask is None:
+        # held-out errors span every row, outliers included: a clustering key, not a fit error
+        summary = [replace(row, median_error=math.nan) for row in summary]
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 

@@ -25,26 +25,27 @@ from .bench import (
     run_benchmark,
 )
 from .estimator import HsoloConfig, estimate_epsilon_r, hsolo_estimate, seed_medians
-from .exceptions import FileFormatError, HsoloError, NoModelFound
+from .exceptions import HsoloError, NoModelFound
 from .fileio import load_correspondences, save_correspondences, save_result, write_result
 from .geometry import Homography
-from .robust import DEFAULT_MAX_ITERATIONS, RansacConfig, baseline_w_init, ransac_homography
+from .robust import DEFAULT_MAX_ITERATIONS, RansacConfig, ransac_homography
 from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 
 def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("estimator parameters")
-    group.add_argument("--epsilon", type=float, default=4.0, help="inlier threshold in pixels")
-    group.add_argument("--p", type=float, default=0.95, help="success probability target")
-    group.add_argument("--wf", type=float, default=0.7, help="assumed filtered-set inlier rate")
-    group.add_argument("--nf", type=int, default=21, help="filtered-set size")
+    cfg = HsoloConfig()
+    group.add_argument("--epsilon", type=float, default=cfg.epsilon, help="inlier threshold in pixels")
+    group.add_argument("--p", type=float, default=cfg.p, help="success probability target")
+    group.add_argument("--wf", type=float, default=cfg.w_f, help="assumed filtered-set inlier rate")
+    group.add_argument("--nf", type=int, default=cfg.n_f, help="filtered-set size")
     group.add_argument(
-        "--epsilon-r", type=float, default=20.0, help="median-error gate threshold in pixels"
+        "--epsilon-r", type=float, default=cfg.epsilon_r, help="median-error gate threshold in pixels"
     )
     group.add_argument(
         "--inlier-scaling",
         type=float,
-        default=0.7,
+        default=cfg.inlier_scaling,
         help="factor applied to the observed inlier rate for the outer budget",
     )
     group.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -87,18 +88,10 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 def _cmd_solve(args) -> int:
     loaded = load_correspondences(args.input)
-    if args.method == "hsolo":
-        if not loaded.has_byproducts:
-            raise FileFormatError(
-                "point-only file: the hsolo method needs scale/angle byproduct columns "
-                "(8-field rows); use --method ransac"
-            )
-        config = _hsolo_config(args)
-        result = hsolo_estimate(loaded.correspondences, config)
-    else:
-        config = _ransac_config(args)
-        pool = loaded.correspondences
-        result = ransac_homography(pool, pool, baseline_w_init(pool, config), config)
+    seeded = args.method == "hsolo"
+    pool = loaded.byproduct_pool() if seeded else loaded.correspondences
+    config = _hsolo_config(args) if seeded else _ransac_config(args)
+    result = hsolo_estimate(pool, config) if seeded else ransac_homography(pool, pool, None, config)
     if args.output:
         save_result(args.output, result, config, include_timing=args.timing)
     else:
@@ -178,14 +171,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     loaded = load_correspondences(args.input)
-    if not loaded.has_byproducts:
-        raise FileFormatError(
-            "point-only file: gate calibration builds per-correspondence similarity "
-            "models and needs the scale/angle byproduct columns"
-        )
-    pool = loaded.correspondences
-    if len(pool) < 4:
-        raise ValueError(f"need >= 4 correspondences, got {len(pool)}")
+    pool = loaded.byproduct_pool()
     # calibrate on the gated quantity itself: each seed's filtered-median
     # error; with ground truth available, use the inlier seeds so the fence
     # marks where seeds stop looking like inliers
@@ -195,18 +181,16 @@ def _cmd_calibrate(args) -> int:
     else:
         seeds = pool
         seed_set = "all"
-    if len(seeds) < 4:
-        raise ValueError(f"need >= 4 seed correspondences, got {len(seeds)}")
     medians = seed_medians(seeds, pool, args.nf)
     finite = medians[np.isfinite(medians)]
-    if len(finite) < 4:
-        raise ValueError("fewer than 4 finite filtered-median errors; cannot calibrate")
+    # finite <= seeds <= pool rows: estimate_epsilon_r's ">= 4" test covers all three
+    suggested = estimate_epsilon_r(finite)
     q1, q3 = np.percentile(finite, [25.0, 75.0])
     sys.stdout.write(f"n_seeds: {len(finite)}\n")
     sys.stdout.write(f"seed_set: {seed_set}\n")
     sys.stdout.write(f"q1: {float(q1)!r}\n")
     sys.stdout.write(f"q3: {float(q3)!r}\n")
-    sys.stdout.write(f"suggested_epsilon_r: {estimate_epsilon_r(finite)!r}\n")
+    sys.stdout.write(f"suggested_epsilon_r: {suggested!r}\n")
     return 0
 
 
@@ -261,16 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_theory = sub.add_parser("theory", help="iteration-count curves")
     p_theory.add_argument("--w", default="0.03,0.05,0.1,0.2,0.4", help="inlier rates")
     p_theory.add_argument("--n-values", default="4", help="RANSAC sample sizes")
-    p_theory.add_argument("--p", type=float, default=0.95)
-    p_theory.add_argument("--nf", type=int, default=21)
-    p_theory.add_argument("--wf", type=float, default=0.7)
+    p_theory.add_argument("--p", type=float, default=HsoloConfig.p)
+    p_theory.add_argument("--nf", type=int, default=HsoloConfig.n_f)
+    p_theory.add_argument("--wf", type=float, default=HsoloConfig.w_f)
 
     p_cal = sub.add_parser(
         "calibrate-epsilon-r",
         help="suggest a gate threshold from a file's filtered-median errors",
     )
     p_cal.add_argument("input", help="correspondence file with byproducts")
-    p_cal.add_argument("--nf", type=int, default=21, help="filtered-set size")
+    p_cal.add_argument("--nf", type=int, default=HsoloConfig.n_f, help="filtered-set size")
 
     return parser
 

@@ -125,22 +125,6 @@ def _filtered_from_errors(errors: np.ndarray, n_f: int) -> FilteredSet:
     return FilteredSet(indices=idx, errors=errs, median_error=float(_median_of_smallest(errs, take)))
 
 
-def filter_by_model(h_prime: Homography, pool, n_f: int) -> FilteredSet:
-    """Select the min(n_f, len(pool)) correspondences with lowest error under h_prime.
-
-    Selection is exact: ties in error are broken by pool index, and
-    correspondences whose source projects to infinity (+inf error) or whose
-    error is NaN rank last, NaN counting as +inf. A partition finds the
-    cut-off error, so cost is O(n) plus a sort of the selected entries.
-    """
-    if not pool:
-        raise ValueError("pool must be non-empty")
-    if n_f < 1:
-        raise ValueError(f"n_f must be >= 1, got {n_f}")
-    src, dst = pool_arrays(pool)
-    return _filtered_from_errors(transfer_errors(h_prime.m, src, dst), n_f)
-
-
 def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tuple[np.ndarray, np.ndarray]:
     """Pool errors under each seed's similarity sketch, and each seed's gate median.
 

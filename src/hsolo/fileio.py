@@ -3,7 +3,7 @@
 Correspondence files are comma-separated with a version header. Full rows
 carry both feature points plus their scale/angle byproducts; point-only rows
 (four coordinates) are accepted for data from sources that do not export
-byproducts, and loaders flag their absence so callers can reject them where
+byproducts, and ``LoadedCorrespondences.byproduct_pool`` rejects them where
 byproducts are required. An optional trailing 0/1 column marks ground-truth
 inliers.
 
@@ -45,6 +45,15 @@ class LoadedCorrespondences:
     correspondences: Pool
     inlier_mask: np.ndarray | None
     has_byproducts: bool
+
+    def byproduct_pool(self) -> Pool:
+        """``correspondences``, or :class:`FileFormatError` for a point-only file."""
+        if not self.has_byproducts:
+            raise FileFormatError(
+                "point-only file: the hsolo method and gate calibration need the "
+                "scale/angle byproduct columns (8-field rows); only ransac can run on it"
+            )
+        return self.correspondences
 
 
 def load_correspondences(path) -> LoadedCorrespondences:

@@ -101,21 +101,6 @@ class EstimationResult:
     history: tuple[Improvement, ...] = field(default=(), repr=False)
 
 
-def _require_sample(n: int, sample_size: int) -> None:
-    if n < sample_size:
-        raise ValueError(f"sample pool has {n} < {sample_size} correspondences")
-
-
-def baseline_w_init(pool, config: RansacConfig) -> float:
-    """Starting inlier rate of plain RANSAC on one pool: min(1, sample_size / len(pool)).
-
-    Raises ``ValueError``, as :func:`ransac_homography` does, when the pool
-    holds fewer correspondences than one sample.
-    """
-    _require_sample(len(pool), config.sample_size)
-    return min(1.0, config.sample_size / len(pool))
-
-
 def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.ndarray:
     """(count, s) samples of distinct indices in [0, n), uniform over subsets."""
     if n <= 64:
@@ -156,23 +141,27 @@ def _support_counts(
     return counts.astype(np.int64)
 
 
-def ransac_homography(sample_pool, score_pool, w_init: float, config: RansacConfig) -> EstimationResult:
+def ransac_homography(sample_pool, score_pool, w_init: float | None, config: RansacConfig) -> EstimationResult:
     """Adaptive RANSAC with separate sampling and scoring pools (each a Pool or a sequence).
 
     Draws 4 distinct correspondences (``config.sample_size``) per iteration from
     ``sample_pool`` (a degenerate sample consumes its iteration), solves the
     minimal DLT, and counts support in ``score_pool`` at threshold
-    ``config.epsilon``. The iteration budget starts from ``w_init`` and is
-    re-derived from support / len(sample_pool) after each improvement, never
-    increasing. The best model is refit on all of its scoring-pool inliers
-    before being returned.
+    ``config.epsilon``. The iteration budget starts from ``w_init`` (None:
+    plain RANSAC's min(1, sample_size / len(sample_pool))) and is re-derived
+    from support / len(sample_pool) after each improvement, never increasing.
+    The best model is refit on all of its scoring-pool inliers before being
+    returned.
 
     Raises :class:`NoModelFound` if no candidate reaches a support of 4.
     """
     t0 = time.perf_counter()
     sample_pool, score_pool = as_pool(sample_pool), as_pool(score_pool)
     ns = len(sample_pool)
-    _require_sample(ns, config.sample_size)
+    if ns < config.sample_size:
+        raise ValueError(f"sample pool has {ns} < {config.sample_size} correspondences")
+    if w_init is None:
+        w_init = min(1.0, config.sample_size / ns)
     if not 0.0 < w_init <= 1.0:
         raise ValueError(f"w_init must be in (0, 1], got {w_init}")
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from hsolo import AffineFeature, Correspondence, Homography, Point2, project
+from hsolo import AffineFeature, Correspondence, FilteredSet, Homography, Point2, project
+from hsolo.estimator import _filtered_from_errors
+from hsolo.geometry import pool_arrays, transfer_errors
 from hsolo.synthetic import jacobian_byproducts
 
 
@@ -28,6 +30,22 @@ def make_byproduct_correspondence(
         AffineFeature(p, s1, theta1),
         AffineFeature(project(truth, p), s1 * local.scale_ratio, theta1 + local.angle_delta),
     )
+
+
+def filter_by_model(h_prime: Homography, pool, n_f: int) -> FilteredSet:
+    """Select the min(n_f, len(pool)) correspondences with lowest error under h_prime.
+
+    The estimator's filter kernel on one model's transfer errors. Selection is
+    exact: ties in error are broken by pool index, and correspondences whose
+    source projects to infinity (+inf error) or whose error is NaN rank last,
+    NaN counting as +inf.
+    """
+    if not pool:
+        raise ValueError("pool must be non-empty")
+    if n_f < 1:
+        raise ValueError(f"n_f must be >= 1, got {n_f}")
+    src, dst = pool_arrays(pool)
+    return _filtered_from_errors(transfer_errors(h_prime.m, src, dst), n_f)
 
 
 def exact_pool(truth: Homography, points) -> list:

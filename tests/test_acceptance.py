@@ -27,7 +27,6 @@ from hsolo import (
     SceneSweep,
     dlt_solve,
     estimate_epsilon_r,
-    filter_by_model,
     generate_scene,
     hsolo_estimate,
     random_scene_truth,
@@ -41,7 +40,7 @@ from hsolo.bench import _held_out_pairs
 from hsolo.estimator import _filtered_from_errors, _residuals_and_jacobian
 from hsolo.geometry import pool_arrays, transfer_errors
 
-from conftest import exact_pool, random_truth
+from conftest import exact_pool, filter_by_model, random_truth
 from test_analysis import brute_force_dbscan, cluster_partition
 from test_estimator import sorted_filter_oracle
 from test_solvers import random_feature

@@ -18,7 +18,6 @@ from hsolo import (
     NoModelFound,
     Point2,
     estimate_epsilon_r,
-    filter_by_model,
     hsolo_estimate,
     project,
     refine_model,
@@ -30,6 +29,7 @@ from hsolo.synthetic import SceneSpec, generate_scene, jacobian_byproducts, rand
 
 from conftest import (
     exact_pool,
+    filter_by_model,
     make_byproduct_correspondence,
     random_points,
     random_truth,

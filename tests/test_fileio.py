@@ -76,6 +76,7 @@ class TestRoundTrip:
         loaded = load_correspondences(path)
         assert loaded.inlier_mask is None
         assert loaded.has_byproducts
+        assert loaded.byproduct_pool() is loaded.correspondences
 
     def test_mask_length_mismatch_rejected(self, tmp_path, scene):
         _, pool, mask = scene
@@ -93,6 +94,8 @@ class TestLoader:
         path = self.write(tmp_path, f"{CORR_HEADER}\n1,2,3,4\n5,6,7,8\n")
         loaded = load_correspondences(path)
         assert not loaded.has_byproducts
+        with pytest.raises(FileFormatError, match="point-only file"):
+            loaded.byproduct_pool()
         c = loaded.correspondences[0]
         assert (c.a.p.u, c.a.p.v, c.b.p.u, c.b.p.v) == (1.0, 2.0, 3.0, 4.0)
         assert c.a.scale == 1.0 and c.a.angle == 0.0

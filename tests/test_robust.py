@@ -17,7 +17,6 @@ from hsolo import (
     required_iterations,
 )
 from hsolo.geometry import pool_arrays, transfer_errors
-from hsolo.robust import baseline_w_init
 
 from conftest import exact_pool, pool_from_arrays, random_points, random_truth
 
@@ -110,13 +109,28 @@ class TestRansacConfig:
             RansacConfig(max_iterations=0)
 
 
-def test_baseline_w_init_rejects_a_pool_smaller_than_a_sample(rng):
+def test_plain_start_rate_rejects_a_pool_smaller_than_a_sample(rng):
     pool = exact_pool(random_truth(rng), random_points(rng, 10))
     for n in range(4):
+        # a ValueError naming the pool size, not a ZeroDivisionError from 4 / 0
         with pytest.raises(ValueError, match=f"sample pool has {n} < 4"):
-            baseline_w_init(pool[:n], RansacConfig())
-    assert baseline_w_init(pool[:4], RansacConfig()) == 1.0
-    assert baseline_w_init(pool, RansacConfig()) == 0.4
+            ransac_homography(pool[:n], pool[:n], None, RansacConfig())
+
+
+def test_plain_start_rate_is_sample_size_over_pool_size(rng):
+    truth = random_truth(rng)
+    # outliers only: no model beats a support of 4, so the start rate sets k_final
+    for n_inliers, n_outliers in ((4, 0), (10, 0), (0, 12), (20, 30), (15, 85)):
+        pool, _ = mixed_pool(rng, truth, n_inliers, n_outliers)
+        cfg = RansacConfig(seed=n_outliers, max_iterations=5000)
+        got = ransac_homography(pool, pool, None, cfg)
+        want = ransac_homography(pool, pool, min(1.0, 4 / len(pool)), cfg)
+        np.testing.assert_array_equal(got.model.m, want.model.m)
+        np.testing.assert_array_equal(got.inlier_indices, want.inlier_indices)
+        assert (got.iterations_run, got.k_final) == (want.iterations_run, want.k_final)
+        assert [(h.iteration, h.support, h.k_after) for h in got.history] == [
+            (h.iteration, h.support, h.k_after) for h in want.history
+        ]
 
 
 class TestRansacHomography:

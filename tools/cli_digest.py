@@ -4,12 +4,12 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 36 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 39 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
 ``generate`` commands and from files this script writes: header-only,
-point-only, unflagged, and one with extreme byproduct rows. Paths are
+point-only, unflagged, a 3-row one, and one with extreme byproduct rows. Paths are
 relative to the temporary directory, so two checkouts give the same lines
 exactly when their command-line bytes agree::
 
@@ -53,12 +53,15 @@ COMMANDS = [
     "calibrate-epsilon-r a.csv",
     "calibrate-epsilon-r b.csv --nf 20",
     "calibrate-epsilon-r unflagged.csv",
+    "calibrate-epsilon-r points.csv",
+    "calibrate-epsilon-r three.csv",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 1",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
     "bench --input a.csv --trials 4 --records-out records.tsv",
     "bench --input unflagged.csv --trials 4",
     "bench --input unflagged.csv --trials 12 --max-iterations 10000",
     "bench --input points.csv --methods ransac --trials 2",
+    "bench --input points.csv --trials 2",
     "bench --input empty.csv --methods ransac --trials 2",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
@@ -81,6 +84,7 @@ def _write_derived_inputs(work: Path) -> None:
     lines = (work / "a.csv").read_text().splitlines()[1:]
     rows = [ln.rsplit(",", 1)[0] for ln in lines]
     (work / "unflagged.csv").write_text(HEADER + "\n".join(rows) + "\n")
+    (work / "three.csv").write_text(HEADER + "\n".join(rows[:3]) + "\n")
     # an overflowing sketch and a singular one (a 1/200 scale ratio)
     extreme = rows[:200] + [
         "100.0,120.0,1e-200,0.3,300.0,200.0,1e+200,-0.2",
