@@ -172,6 +172,7 @@ def _cmd_theory(args) -> int:
 def _cmd_calibrate(args) -> int:
     loaded = load_correspondences(args.input)
     pool = loaded.byproduct_pool()
+    n_f = HsoloConfig(n_f=args.nf).n_f  # the estimators' own n_f rule
     # calibrate on the gated quantity itself: each seed's filtered-median
     # error; with ground truth available, use the inlier seeds so the fence
     # marks where seeds stop looking like inliers
@@ -181,7 +182,7 @@ def _cmd_calibrate(args) -> int:
     else:
         seeds = pool
         seed_set = "all"
-    medians = seed_medians(seeds, pool, args.nf)
+    medians = seed_medians(seeds, pool, n_f)
     finite = medians[np.isfinite(medians)]
     # finite <= seeds <= pool rows: estimate_epsilon_r's ">= 4" test covers all three
     suggested = estimate_epsilon_r(finite)

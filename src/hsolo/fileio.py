@@ -39,7 +39,7 @@ class LoadedCorrespondences:
     ``correspondences`` is the file's rows as a :class:`~hsolo.geometry.Pool`.
     ``inlier_mask`` is None when the file carries no ground-truth column.
     ``has_byproducts`` is False for point-only files, whose features carry
-    placeholder scale 1 / angle 0.
+    placeholder scale 1 / angle 0, and True for full files and files with no rows.
     """
 
     correspondences: Pool
@@ -92,7 +92,8 @@ def load_correspondences(path) -> LoadedCorrespondences:
         linenos.append(lineno)
 
     mask = np.array(flags, dtype=bool) if flags else None
-    has_byproducts = n_fields in (_FULL_FIELDS, _FULL_FIELDS + 1)
+    # a file with no rows is not point-only: the estimators reject it for its size
+    has_byproducts = n_fields not in (_POINT_FIELDS, _POINT_FIELDS + 1)
     return LoadedCorrespondences(_pool(rows, linenos), mask, has_byproducts)
 
 

@@ -6,9 +6,12 @@ samples are drawn from ``sample_pool`` while support is always counted against
 
 Candidate models are evaluated in batches for speed, then replayed in
 iteration order, so an improvement found at iteration i still tightens the
-budget seen by iteration i + 1 exactly as in a one-at-a-time loop. All
-randomness comes from a single generator seeded by the config, which makes
-runs with the same inputs and seed reproducible.
+budget seen by iteration i + 1 exactly as in a one-at-a-time loop. A batch
+is scored in cache-sized tiles of models: each tile's projection lands in
+contiguous x, y and w planes, so the squared errors are formed in place
+without a batch-sized temporary. All randomness comes from a single
+generator seeded by the config, which makes runs with the same inputs and
+seed reproducible.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .solvers import dlt_solve, solve_minimal_batch
 DEFAULT_MAX_ITERATIONS = 10_000_000
 
 _CHUNK = 2048
+# model x point elements scored per tile: one tile's x, y, w planes stay in cache
+_TILE_ELEMENTS = 32_768
 
 
 def required_iterations(w: float, n: int, p: float, max_iterations: int = DEFAULT_MAX_ITERATIONS) -> int:
@@ -121,24 +126,40 @@ def _support_counts(
 ) -> np.ndarray:
     """Inlier counts of each model over the scoring points.
 
-    The squared errors are formed in place in the (c, 3, n) projection, rounding
-    as ``dx * dx + dy * dy`` with ``dx = x / w - u`` does, so a batch needs one buffer.
+    Models are scored in tiles of about ``_TILE_ELEMENTS`` model x point
+    elements, so one tile's projection stays in cache. The stacked matmul
+    writes each tile into one reused ``(3, tile, n)`` buffer, which makes the
+    x, y and w planes contiguous ``(tile, n)`` arrays. The matmul stays
+    stacked because a single ``(3c, 3) @ (3, n)`` product rounds differently.
+    The squared errors are formed in place in the planes, rounding as
+    ``dx * dx + dy * dy`` with ``dx = x / w - u`` does. A point counts only if
+    ``|w| > SINGULARITY_RTOL * fro``, so a point mapped to the line at
+    infinity, a NaN or an infinity never counts.
     """
+    c, n = len(models), len(dst)
+    tile = max(1, _TILE_ELEMENTS // max(n, 1))
+    planes = np.empty((3, min(tile, c), n))
+    u, v = np.ascontiguousarray(dst.T)
+    counts = np.zeros(c, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        proj = models @ src_h.T  # (c, 3, n)
-        fro = np.sqrt((models**2).sum(axis=(1, 2)))
-        w = proj[:, 2, :]
-        bad = ~(np.abs(w) > SINGULARITY_RTOL * fro[:, None])
-        w[bad] = 1.0
-        d = proj[:, :2]
-        d /= w[:, None]
-        d -= dst.T
-        d *= d
-        e2 = d[:, 0] + d[:, 1]
-        e2[bad] = np.inf
-        counts = (e2 <= epsilon * epsilon).sum(axis=1)
+        w_min = SINGULARITY_RTOL * np.sqrt((models**2).sum(axis=(1, 2)))
+        for lo in range(0, c, tile):
+            m = models[lo : lo + tile]
+            k = len(m)
+            np.matmul(m, src_h.T, out=planes[:, :k].transpose(1, 0, 2))
+            x, y, w = planes[:, :k]
+            x /= w
+            x -= u
+            x *= x
+            y /= w
+            y -= v
+            y *= y
+            x += y
+            inlier = np.abs(w) > w_min[lo : lo + k, None]
+            inlier &= x <= epsilon * epsilon
+            counts[lo : lo + k] = np.count_nonzero(inlier, axis=1)
     counts[~valid] = 0
-    return counts.astype(np.int64)
+    return counts
 
 
 def ransac_homography(sample_pool, score_pool, w_init: float | None, config: RansacConfig) -> EstimationResult:

@@ -181,6 +181,22 @@ def test_header_only_file_is_bad_input_for_ransac(tmp_path, capsys):
         assert captured.err == "error: sample pool has 0 < 4 correspondences\n"
 
 
+def test_header_only_file_is_rejected_for_its_size_by_hsolo(tmp_path, capsys):
+    """A file with no rows is not point-only: each command names the pool size."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text(f"{CORR_HEADER}\n")
+    for argv, err in (
+        (["solve", str(empty)], "error: pool must hold >= 5 correspondences, got 0\n"),
+        (["calibrate-epsilon-r", str(empty)], "error: pool must be non-empty\n"),
+        (["bench", "--input", str(empty), "--methods", "hsolo", "--trials", "2"],
+         "error: pool must hold >= 5 correspondences, got 0\n"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err, argv
+
+
 @pytest.mark.parametrize("scale, solve_code", [(1e150, 0), (1e200, 1)])
 def test_far_out_coordinates_print_no_numpy_warning(tmp_path, scale, solve_code):
     """40 rows mapping each point to itself, at coordinates near ``scale``."""
@@ -282,3 +298,13 @@ class TestCalibrate:
             f"{CORR_HEADER}\n" + "\n".join(f"{i},{i},{i},{i}" for i in range(10)) + "\n"
         )
         assert main(["calibrate-epsilon-r", str(pts)]) == 2
+
+    @pytest.mark.parametrize("nf", [1, 3, 4])
+    def test_filtered_set_size_follows_the_estimators_rule(self, scene_file, capsys, nf):
+        """An n_f every estimator rejects is bad input here too, in the same words."""
+        err = f"error: n_f must be >= 5, got {nf}\n"
+        for command in ("calibrate-epsilon-r", "solve"):
+            assert main([command, str(scene_file), "--nf", str(nf)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", err), command
+        assert main(["calibrate-epsilon-r", str(scene_file), "--nf", "5"]) == 0

@@ -1,10 +1,17 @@
-"""Tests for the adaptive RANSAC estimator and its iteration-count formula."""
+"""Tests for the adaptive RANSAC estimator and its iteration-count formula.
+
+The tiled support-counting kernel is checked against the one-buffer kernel it
+replaced, kept below as ``reference_support_counts``.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hsolo import robust
 from hsolo import (
     AffineFeature,
     Correspondence,
@@ -16,7 +23,8 @@ from hsolo import (
     ransac_homography,
     required_iterations,
 )
-from hsolo.geometry import pool_arrays, transfer_errors
+from hsolo.geometry import SINGULARITY_RTOL, pool_arrays, transfer_errors
+from hsolo.synthetic import SceneSpec, generate_scene, random_scene_truth
 
 from conftest import exact_pool, pool_from_arrays, random_points, random_truth
 
@@ -234,3 +242,105 @@ class TestRansacHomography:
             ransac_homography(pool, pool, 0.0, RansacConfig())
         with pytest.raises(ValueError):
             ransac_homography(pool, pool, 1.2, RansacConfig())
+
+
+def reference_support_counts(models, valid, src_h, dst, epsilon):
+    """The earlier kernel: one ``(c, 3, n)`` projection, bad points masked by assignment."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        proj = models @ src_h.T  # (c, 3, n)
+        fro = np.sqrt((models**2).sum(axis=(1, 2)))
+        w = proj[:, 2, :]
+        bad = ~(np.abs(w) > SINGULARITY_RTOL * fro[:, None])
+        w[bad] = 1.0
+        d = proj[:, :2]
+        d /= w[:, None]
+        d -= dst.T
+        d *= d
+        e2 = d[:, 0] + d[:, 1]
+        e2[bad] = np.inf
+        counts = (e2 <= epsilon * epsilon).sum(axis=1)
+    counts[~valid] = 0
+    return counts.astype(np.int64)
+
+
+SCORING = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def scoring_cases(draw):
+    """Model batches around the tile size, with w exactly 0 or near the cut, NaN, inf and invalid rows.
+
+    Points and translations are integers, so many errors are exact and some
+    land on the threshold (a 3-4-5 offset at epsilon 5).
+    """
+    n = draw(st.one_of(st.integers(1, 600), st.just(robust._TILE_ELEMENTS + 1)))
+    tile = max(1, robust._TILE_ELEMENTS // n)
+    c = draw(st.sampled_from(sorted({1, max(1, tile - 1), tile, 2 * tile + 1, 3 * tile - 1})))
+    if n * c > 2_000_000:
+        c = tile
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.integers(-50, 700, size=(n, 2)).astype(float)
+    dst = src + rng.integers(-5, 6, size=2)
+    outliers = rng.random(n) < 0.5
+    dst[outliers] = rng.integers(-50, 700, size=(int(outliers.sum()), 2))
+    models = np.tile(np.eye(3), (c, 1, 1))
+    models[:, :2, 2] = rng.integers(-5, 6, size=(c, 2))
+    noisy = rng.random(c) < 0.3
+    models[noisy] += rng.normal(0.0, 1e-3, size=(int(noisy.sum()), 3, 3))
+    # third row (a, 0, delta - a * x0): w is about delta at a chosen point x0
+    for i in np.flatnonzero(rng.random(c) < 0.3):
+        a = float(rng.integers(1, 4)) * draw(st.sampled_from([1.0, 1e-6]))
+        x0 = src[rng.integers(n), 0]
+        fro = float(np.linalg.norm(models[i]))
+        delta = SINGULARITY_RTOL * fro * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]))
+        models[i, 2] = (a, 0.0, delta - a * x0)
+    for i in np.flatnonzero(rng.random(c) < 0.1):
+        models[i].flat[rng.integers(9)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    valid = rng.random(c) < 0.9
+    epsilon = draw(st.sampled_from([1.0, 4.0, 5.0, 1e-3, 1e6]))
+    src_h = np.column_stack([src, np.ones(n)])
+    return models, valid, src_h, dst, epsilon
+
+
+@SCORING
+@given(case=scoring_cases())
+def test_tiled_support_counts_match_the_reference(case):
+    want = reference_support_counts(*case)
+    got = robust._support_counts(*case)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_support_counts_of_an_empty_scoring_pool_are_zero():
+    models = np.tile(np.eye(3), (3, 1, 1))
+    args = (models, np.ones(3, dtype=bool), np.empty((0, 3)), np.empty((0, 2)), 4.0)
+    np.testing.assert_array_equal(robust._support_counts(*args), reference_support_counts(*args))
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
+    """A capped n=500, w=0.05 solve with perfbench's lowrate noise, new kernel against the reference."""
+    rng = np.random.default_rng(seed)
+    spec = SceneSpec(
+        truth=random_scene_truth(rng, (640.0, 480.0)),
+        image_bounds=(640.0, 480.0),
+        n_total=500,
+        inlier_rate=0.05,
+        pixel_noise_sigma=0.5,
+        scale_noise_sigma=0.05,
+        angle_noise_sigma=0.05,
+        seed=seed,
+    )
+    pool, _ = generate_scene(spec)
+    cfg = RansacConfig(max_iterations=10_000, seed=seed)
+
+    def solve():
+        res = ransac_homography(pool, pool, None, cfg)
+        history = [(h.iteration, h.support, h.k_after, h.model.m.tobytes()) for h in res.history]
+        return res.model.m.tobytes(), res.inlier_indices.tolist(), res.iterations_run, res.k_final, history
+
+    got = solve()
+    monkeypatch.setattr(robust, "_support_counts", reference_support_counts)
+    want = solve()
+    assert got == want
+    assert got[2] == 10_000  # the cap: every draw was scored

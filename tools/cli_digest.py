@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 39 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 42 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -55,6 +55,8 @@ COMMANDS = [
     "calibrate-epsilon-r unflagged.csv",
     "calibrate-epsilon-r points.csv",
     "calibrate-epsilon-r three.csv",
+    "calibrate-epsilon-r empty.csv",
+    "calibrate-epsilon-r a.csv --nf 3",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 1",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
     "bench --input a.csv --trials 4 --records-out records.tsv",
@@ -63,6 +65,7 @@ COMMANDS = [
     "bench --input points.csv --methods ransac --trials 2",
     "bench --input points.csv --trials 2",
     "bench --input empty.csv --methods ransac --trials 2",
+    "bench --input empty.csv --trials 2",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
     "theory",
