@@ -18,7 +18,6 @@ from .bench import (
     run_benchmark,
 )
 from .estimator import (
-    FilteredSet,
     HsoloConfig,
     Refinement,
     estimate_epsilon_r,
@@ -79,7 +78,6 @@ __all__ = [
     "DegenerateProjection",
     "EstimationResult",
     "FileFormatError",
-    "FilteredSet",
     "Homography",
     "HsoloConfig",
     "HsoloError",

@@ -159,7 +159,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_theory(args) -> int:
     w_values = _parse_float_list(args.w, "--w")
-    n_values = tuple(int(n) for n in _parse_float_list(args.n_values, "--n-values"))
+    n_values = _parse_float_list(args.n_values, "--n-values")
+    if not all(n.is_integer() for n in n_values):
+        raise ValueError(f"--n-values expects whole sample sizes, got {args.n_values!r}")
+    n_values = tuple(int(n) for n in n_values)
     rows = theory_curves(w_values, n_values, args.p, args.nf, args.wf)
     sys.stdout.write("w\tn\tk_ransac\tk_hsolo_total\tspeedup\n")
     for row in rows:

@@ -35,8 +35,8 @@ from .robust import (
     ransac_homography,
     required_iterations,
 )
-# not called here: perfbench's tracer wraps this module attribute
-from .solvers import single_match_homography  # noqa: F401
+# single_match_homography is not called here: perfbench's tracer wraps this module attribute
+from .solvers import similarity_sketch, single_match_homography  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class HsoloConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:  # NaN fails too
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
@@ -67,7 +67,7 @@ class HsoloConfig:
             raise ValueError(f"w_f must be in (0, 1), got {self.w_f}")
         if self.n_f < 5:
             raise ValueError(f"n_f must be >= 5, got {self.n_f}")
-        if self.epsilon_r <= 0.0:
+        if not self.epsilon_r > 0.0:
             raise ValueError(f"epsilon_r must be > 0, got {self.epsilon_r}")
         if not 0.0 < self.inlier_scaling <= 1.0:
             raise ValueError(f"inlier_scaling must be in (0, 1], got {self.inlier_scaling}")
@@ -137,27 +137,21 @@ def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tupl
     +inf throughout, so it fails every gate instead of raising.
     """
     u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
-    # single_match_homography's arithmetic, one column per entry; math.cos and
-    # math.sin because numpy's vector versions may round differently
+    # math.cos and math.sin, as single_match_homography takes them, because
+    # numpy's vector versions may round differently
     delta = (t2 - t1).tolist()
     cos_d = np.array([math.cos(d) for d in delta])
     sin_d = np.array([math.sin(d) for d in delta])
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        r = s2 / s1
-        l00, l01 = r * cos_d, -r * sin_d
-        l10, l11 = r * sin_d, r * cos_d
-        tx = u2 - (l00 * u1 + l01 * v1)
-        ty = v2 - (l10 * u1 + l11 * v1)
+        sketch = similarity_sketch(u1, v1, u2, v2, s2 / s1, cos_d, sin_d)
         # Homography's test on the same entries. A passing similarity has
         # r**2 > 1e-12 * fro**3 and r**2 < fro**2 / 2, so fro < 5e11: h9 = 1
         # stays significant, Homography keeps the entries as given, and
         # transfer_errors divides by exactly 1 and flags no point.
-        ok = valid_homography(((l00, l01, tx), (l10, l11, ty), (0.0, 0.0, 1.0)))
-    l00, l01, tx, l10, l11, ty = (np.where(ok, e, 0.0) for e in (l00, l01, tx, l10, l11, ty))
-    # transfer_errors' elementwise operations, in its order
-    u, v = src[:, 0], src[:, 1]
-    x = l00[:, None] * u + l01[:, None] * v + tx[:, None]
-    y = l10[:, None] * u + l11[:, None] * v + ty[:, None]
+        ok = valid_homography(sketch)
+    # one (rows, 1) column per entry against the pool's points; w is exactly 1
+    top = [[np.where(ok, e, 0.0)[:, None] for e in row] for row in sketch[:2]]
+    x, y, _ = apply_homogeneous((*top, sketch[2]), src[:, 0], src[:, 1])
     errors = np.hypot(x - dst[:, 0], y - dst[:, 1])
     errors[~ok] = np.inf
     errors[np.isnan(errors)] = np.inf
@@ -221,7 +215,7 @@ def _residuals_and_jacobian(params: np.ndarray, src: np.ndarray, dst: np.ndarray
     reject.
     """
     u, v = src[:, 0], src[:, 1]
-    big_x, big_y, big_w = apply_homogeneous(np.append(params, 1.0).reshape(3, 3), u, v)
+    big_x, big_y, big_w = apply_homogeneous(np.append(params, 1.0).reshape(3, 3).tolist(), u, v)
     iw = 1.0 / big_w
     x = big_x * iw
     y = big_y * iw

@@ -27,13 +27,11 @@ _RTOL_SQUARED = SINGULARITY_RTOL * SINGULARITY_RTOL
 _TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(angle: float) -> float:
-    """Wrap an angle in radians into [-pi, pi)."""
-    a = (float(angle) + math.pi) % _TWO_PI - math.pi
+def normalize_angle(angle):
+    """Wrap angles in radians into [-pi, pi); elementwise, so floats and arrays get the same bits."""
+    a = (angle + math.pi) % _TWO_PI - math.pi
     # % can return 2*pi - ulp for tiny negative inputs; fold the edge back
-    if a >= math.pi:
-        a -= _TWO_PI
-    return a
+    return a - _TWO_PI * (a >= math.pi)
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class AffineFeature:
             raise InvalidFeature(f"feature scale must be > 0, got {self.scale}")
         if not math.isfinite(float(self.angle)):
             raise InvalidFeature(f"feature angle must be finite, got {self.angle}")
-        object.__setattr__(self, "angle", normalize_angle(self.angle))
+        object.__setattr__(self, "angle", normalize_angle(float(self.angle)))
 
 
 @dataclass(frozen=True)
@@ -176,15 +174,16 @@ class Homography:
         return f"Homography([{rows}])"
 
 
-def apply_homogeneous(m: np.ndarray, u, v):
-    """Homogeneous image ``(x, y, w)`` of points ``(u, v)`` under a 3x3 matrix.
+def apply_homogeneous(m, u, v):
+    """Homogeneous image ``(x, y, w)`` of points ``(u, v)`` under nested 3x3 entries (``m.tolist()``).
 
-    The package's one projection arithmetic; elementwise, so floats (in
-    :func:`project`) and arrays (in :func:`project_points`) get the same bits.
+    The package's one projection arithmetic; elementwise, so floats, arrays
+    and entry columns against a row of points get the same bits.
     """
-    x = m[0, 0] * u + m[0, 1] * v + m[0, 2]
-    y = m[1, 0] * u + m[1, 1] * v + m[1, 2]
-    w = m[2, 0] * u + m[2, 1] * v + m[2, 2]
+    (a, b, c), (d, e, f), (g, h, i) = m
+    x = a * u + b * v + c
+    y = d * u + e * v + f
+    w = g * u + h * v + i
     return x, y, w
 
 
@@ -194,7 +193,7 @@ def project(h: Homography, p: Point2) -> Point2:
     Raises :class:`DegenerateProjection` when the homogeneous w-component is
     below tolerance, i.e. the point maps (numerically) to the line at infinity.
     """
-    x, y, w = apply_homogeneous(h.m, p.u, p.v)
+    x, y, w = apply_homogeneous(h.m.tolist(), p.u, p.v)
     if abs(w) <= SINGULARITY_RTOL * h._fro:
         raise DegenerateProjection(f"point ({p.u}, {p.v}) maps to the line at infinity")
     return Point2(x / w, y / w)
@@ -223,7 +222,7 @@ class Pool(Sequence):
     theta1, u2, v2, s2, theta2. Construction checks all rows at once against
     the invariants of :class:`Correspondence` (raising its error for the
     first bad row, with the row index as ``exc.row``) and wraps the angles
-    as it does, bit for bit. ``pool[i]`` is row i as a
+    with :func:`normalize_angle`, as it does. ``pool[i]`` is row i as a
     :class:`Correspondence`; slices, index arrays and boolean masks give a
     :class:`Pool`. Pools are equal when their rows are.
     """
@@ -242,9 +241,7 @@ class Pool(Sequence):
             except (InvalidFeature, ValueError) as exc:
                 exc.row = i
                 raise
-        # normalize_angle's arithmetic on both angle columns
-        a = np.remainder(rows[:, 3::4] + math.pi, _TWO_PI) - math.pi
-        rows[:, 3::4] = np.where(a >= math.pi, a - _TWO_PI, a)
+        rows[:, 3::4] = normalize_angle(rows[:, 3::4])
         rows.flags.writeable = False
         self.rows = rows
 
@@ -299,7 +296,7 @@ def project_points(m: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``xy`` are +infinity.
     """
     m = np.asarray(m, dtype=float)
-    x, y, w = apply_homogeneous(m, pts[:, 0], pts[:, 1])
+    x, y, w = apply_homogeneous(m.tolist(), pts[:, 0], pts[:, 1])
     bad = np.abs(w) <= SINGULARITY_RTOL * float(np.linalg.norm(m))
     w[bad] = 1.0
     xy = np.empty((w.shape[0], 2))

@@ -75,7 +75,7 @@ class RansacConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:  # NaN fails too
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.sample_size != 4:
             raise ValueError(f"sample_size must be 4 (the minimal DLT), got {self.sample_size}")

@@ -34,23 +34,28 @@ COLLINEARITY_AREA_RTOL = 1e-6
 MAX_DESIGN_CONDITION = 1e8
 
 
+def similarity_sketch(u1, v1, u2, v2, r, cos_d, sin_d):
+    """Nested 3x3 entries of the similarity r R(delta) sending (u1, v1) exactly onto (u2, v2).
+
+    r = s2/s1 and delta = theta2 - theta1 are one match's byproducts.
+    Elementwise, so floats and columns of matches get the same bits.
+    """
+    l00, l01 = r * cos_d, -r * sin_d
+    l10, l11 = r * sin_d, r * cos_d
+    tx = u2 - (l00 * u1 + l01 * v1)
+    ty = v2 - (l10 * u1 + l11 * v1)
+    return (l00, l01, tx), (l10, l11, ty), (0.0, 0.0, 1.0)
+
+
 def single_match_homography(c: Correspondence) -> Homography:
     """Similarity estimate of the homography from one correspondence.
 
-    Maps image-1 coordinates to image-2 coordinates. The linear part is
-    (s2/s1) R(theta2 - theta1) and the translation is chosen so c.a.p lands
-    exactly on c.b.p.
+    Maps image-1 coordinates to image-2 coordinates: the
+    :func:`similarity_sketch` of c, so c.a.p lands exactly on c.b.p.
     """
-    r = c.b.scale / c.a.scale
-    delta = c.b.angle - c.a.angle
-    cos_d = math.cos(delta)
-    sin_d = math.sin(delta)
-    l00, l01 = r * cos_d, -r * sin_d
-    l10, l11 = r * sin_d, r * cos_d
-    u1, v1 = c.a.p.u, c.a.p.v
-    tx = c.b.p.u - (l00 * u1 + l01 * v1)
-    ty = c.b.p.v - (l10 * u1 + l11 * v1)
-    return Homography(np.array([[l00, l01, tx], [l10, l11, ty], [0.0, 0.0, 1.0]]))
+    a, b, delta = c.a.p, c.b.p, c.b.angle - c.a.angle
+    sketch = similarity_sketch(a.u, a.v, b.u, b.v, c.b.scale / c.a.scale, math.cos(delta), math.sin(delta))
+    return Homography(np.array(sketch))
 
 
 # the four source triples of a 4-point sample, as index columns i, j, k

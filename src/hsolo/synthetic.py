@@ -30,6 +30,13 @@ _CENTRAL_FRACTION = 0.8
 _LOG_SCALE_RANGE = (math.log(0.5), math.log(2.0))
 
 
+def _check_bounds(image_bounds: tuple[float, float]) -> tuple[float, float]:
+    width, height = image_bounds
+    if not (width > 0 and height > 0):  # NaN fails too
+        raise ValueError(f"image bounds must be positive, got {image_bounds}")
+    return width, height
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Recipe for one synthetic scene.
@@ -50,15 +57,13 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        w, h = self.image_bounds
-        if w <= 0 or h <= 0:
-            raise ValueError(f"image bounds must be positive, got {self.image_bounds}")
+        _check_bounds(self.image_bounds)
         if self.n_total < 8:
             raise ValueError(f"n_total must be >= 8, got {self.n_total}")
         if not 0.0 < self.inlier_rate <= 1.0:
             raise ValueError(f"inlier_rate must be in (0, 1], got {self.inlier_rate}")
         for name in ("pixel_noise_sigma", "scale_noise_sigma", "angle_noise_sigma"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
 
 
@@ -82,7 +87,7 @@ def jacobian_byproducts(truth: Homography, p: Point2) -> LocalByproducts:
     line at infinity.
     """
     m = truth.m
-    big_x, big_y, big_w = apply_homogeneous(m, p.u, p.v)
+    big_x, big_y, big_w = apply_homogeneous(m.tolist(), p.u, p.v)
     fro = math.sqrt(float(np.sum(m**2)))
     if not abs(big_w) > SINGULARITY_RTOL * fro:
         raise DegenerateProjection(f"point {p} projects to infinity")
@@ -198,9 +203,9 @@ def random_scene_truth(rng: np.random.Generator, image_bounds: tuple[float, floa
     Convenience for benchmark sweeps: mild scale/rotation/shear around the
     image center, small translation jitter, and weak perspective terms, chosen
     so generate_scene's rejection sampling stays well below its feasibility
-    limit.
+    limit. Raises ``ValueError`` for bounds that are not positive.
     """
-    width, height = image_bounds
+    width, height = _check_bounds(image_bounds)
     scale = rng.uniform(0.85, 1.15)
     angle = rng.uniform(-math.pi / 12.0, math.pi / 12.0)
     c, s = math.cos(angle), math.sin(angle)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hsolo import AffineFeature, Correspondence, FilteredSet, Homography, Point2, project
-from hsolo.estimator import _filtered_from_errors
+from hsolo import AffineFeature, Correspondence, Homography, Point2, project
+from hsolo.estimator import FilteredSet, _filtered_from_errors
 from hsolo.geometry import pool_arrays, transfer_errors
 from hsolo.synthetic import jacobian_byproducts
 

@@ -63,6 +63,22 @@ class TestGenerate:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--pixel-noise", "pixel_noise_sigma must be >= 0"),
+            ("--scale-noise", "scale_noise_sigma must be >= 0"),
+            ("--angle-noise", "angle_noise_sigma must be >= 0"),
+            ("--width", "image bounds must be positive"),
+            ("--height", "image bounds must be positive"),
+        ],
+    )
+    def test_nan_parameter_is_bad_input(self, tmp_path, capsys, flag, message):
+        path = tmp_path / "x.csv"
+        assert main(["generate", str(path), flag, "nan"]) == 2
+        assert message in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestSolve:
     def test_seeded_method_on_generated_scene(self, scene_file, capsys):
@@ -97,6 +113,14 @@ class TestSolve:
         assert rc == 0
         doc = parse_result(capsys.readouterr().out)
         assert float(doc["elapsed_s"]) > 0.0
+
+    @pytest.mark.parametrize(
+        "method, flag, name",
+        [("hsolo", "--epsilon", "epsilon"), ("hsolo", "--epsilon-r", "epsilon_r"), ("ransac", "--epsilon", "epsilon")],
+    )
+    def test_nan_threshold_is_bad_input(self, scene_file, capsys, method, flag, name):
+        assert main(["solve", str(scene_file), "--method", method, flag, "nan"]) == 2
+        assert f"{name} must be > 0, got nan" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.csv")]) == 2
@@ -268,6 +292,12 @@ class TestBench:
     def test_unknown_method_fails(self, capsys):
         assert main(["bench", "--w", "0.4", "--methods", "sorcery", "--trials", "1"]) == 2
 
+    def test_nan_epsilon_fails_before_any_trial(self, capsys):
+        # a NaN threshold used to let RANSAC run to its draw cap
+        argv = ["bench", "--epsilon", "nan", "--methods", "ransac", "--trials", "2", "--n", "200", "--w", "0.2"]
+        assert main(argv) == 2
+        assert "epsilon must be > 0, got nan" in capsys.readouterr().err
+
 
 class TestTheory:
     def test_table_output(self, capsys):
@@ -281,6 +311,15 @@ class TestTheory:
 
     def test_bad_rate_fails(self, capsys):
         assert main(["theory", "--w", "0,0.4"]) == 2
+
+    @pytest.mark.parametrize("n_values", ["2.5", "4,7.5", "inf", "nan"])
+    def test_fractional_sample_size_fails(self, capsys, n_values):
+        assert main(["theory", "--n-values", n_values]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_whole_float_sample_size_is_accepted(self, capsys):
+        assert main(["theory", "--w", "0.1", "--n-values", "4.0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[1] == "4"
 
 
 class TestCalibrate:

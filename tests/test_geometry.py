@@ -40,6 +40,15 @@ class TestNormalizeAngle:
         assert normalize_angle(2 * math.pi) == pytest.approx(0.0, abs=1e-12)
         assert normalize_angle(-3.5 * math.pi) == pytest.approx(0.5 * math.pi)
 
+    def test_an_array_wraps_as_its_floats_do(self, rng):
+        edges = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 5e-324, -5e-324]
+        near_edges = [c + rng.normal(0.0, 1e-15, 500) for c in (0.0, -math.pi, math.pi)]
+        angles = np.concatenate([edges, rng.uniform(-50.0, 50.0, 1000), *near_edges])
+        want = np.array([normalize_angle(a) for a in angles.tolist()])
+        got = normalize_angle(angles)
+        assert got.tobytes() == want.tobytes()
+        assert ((-math.pi <= got) & (got < math.pi)).all()
+
     def test_range_over_random_inputs(self, rng):
         for x in rng.uniform(-50.0, 50.0, size=200):
             wrapped = normalize_angle(float(x))

@@ -3,6 +3,7 @@
 Hypothesis draws the inputs: arbitrary valid pool rows for the file round
 trip and the command line, small synthetic scenes for the estimators and the
 polish. Example counts are kept small so the module runs in a few seconds.
+The covariance tests (moving both images) run on fixed-seed scenes.
 """
 
 import contextlib
@@ -12,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -189,3 +191,65 @@ def test_a_file_that_loads_never_ends_in_a_traceback(rows, flags):
     assert codes["ransac"] in ((0, 1) if len(rows) >= 4 else (2,))
     assert codes["hsolo"] in ((0, 1) if byproducts and len(rows) >= 5 else (2,))
     assert codes["calibrate"] in (0, 2)
+
+
+_BOUNDS = (640.0, 480.0)
+
+
+@pytest.fixture(scope="module")
+def covariance_pools():
+    """12 scenes at n=300, w=0.2 with the lowrate benchmark's noise, on fixed seeds."""
+    pools = []
+    for seed in range(12):
+        spec = SceneSpec(
+            truth=random_scene_truth(np.random.default_rng(seed), _BOUNDS),
+            image_bounds=_BOUNDS,
+            n_total=300,
+            inlier_rate=0.2,
+            pixel_noise_sigma=0.5,
+            scale_noise_sigma=0.05,
+            angle_noise_sigma=0.05,
+            seed=seed,
+        )
+        pools.append(generate_scene(spec)[0])
+    return pools
+
+
+def _inlier_sets(pool, seed, s=1.0):
+    """Inlier indices of both estimators, with epsilon and epsilon_r scaled by s."""
+    hsolo = hsolo_estimate(pool, HsoloConfig(epsilon=4.0 * s, epsilon_r=20.0 * s, seed=seed))
+    ransac = ransac_homography(pool, pool, None, RansacConfig(epsilon=4.0 * s, seed=seed))
+    return hsolo.inlier_indices.tolist(), ransac.inlier_indices.tolist()
+
+
+def _moved(pool, scale=1.0, offset=(0.0, 0.0)):
+    """Both images scaled by ``scale`` (points and feature scales), then shifted by ``offset``."""
+    rows = pool.rows.copy()
+    rows[:, [0, 1, 2, 4, 5, 6]] *= scale
+    rows[:, [0, 4]] += offset[0]
+    rows[:, [1, 5]] += offset[1]
+    return Pool(rows)
+
+
+@pytest.mark.parametrize("s", [0.25, 2.0, 8.0])
+def test_scaling_both_images_keeps_the_inlier_sets(covariance_pools, s):
+    """A power-of-two scale of both images, thresholds scaled alike, changes no inlier.
+
+    Such a scale is exact in floating point, and both estimators use only
+    scale ratios, Hartley-normalized points and errors relative to epsilon.
+    """
+    for k, pool in enumerate(covariance_pools):
+        assert _inlier_sets(_moved(pool, scale=s), k, s) == _inlier_sets(pool, k)
+
+
+@pytest.mark.parametrize("offset", [(3.0, -7.0), (100.0, 50.0)])
+def test_translating_both_images_keeps_the_inlier_sets(covariance_pools, offset):
+    """The same small shift of both images changes no inlier.
+
+    Offsets stay in the hundreds of pixels: far translations meet the
+    validity test's known translation cut (ROADMAP item 6), which calls a
+    well-conditioned map with a translation in the tens of thousands of
+    pixels singular.
+    """
+    for k, pool in enumerate(covariance_pools):
+        assert _inlier_sets(_moved(pool, offset=offset), k) == _inlier_sets(pool, k)

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 42 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 44 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -44,6 +44,7 @@ COMMANDS = [
     "solve m.csv",
     "solve m.csv --method ransac",
     "solve a.csv -o result.txt --seed 5",
+    "solve a.csv --epsilon nan",
     "solve points.csv --method ransac",
     "solve points.csv",
     "solve extreme.csv",
@@ -59,6 +60,8 @@ COMMANDS = [
     "calibrate-epsilon-r a.csv --nf 3",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 1",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
+    "bench --trials 2 --n 200 --w 0.05,0.4 --pixel-noise 0.5 --scale-noise 0.05 --angle-noise 0.05"
+    " --max-iterations 10000 --workers 2",
     "bench --input a.csv --trials 4 --records-out records.tsv",
     "bench --input unflagged.csv --trials 4",
     "bench --input unflagged.csv --trials 12 --max-iterations 10000",
