@@ -27,7 +27,7 @@ from .exceptions import InfeasibleSpec, NoModelFound
 from .fileio import LoadedCorrespondences
 from .geometry import pool_arrays, project_points, transfer_errors
 from .robust import RansacConfig, ransac_homography
-from .synthetic import SceneSpec, generate_scene, random_scene_truth
+from .synthetic import SceneSpec, _check_inlier_rate, generate_scene, random_scene_truth
 
 SUCCESS_ERROR_PX = 2.0
 METHODS = ("hsolo", "ransac")
@@ -60,6 +60,10 @@ class SceneSweep:
     pixel_noise_sigma: float = 0.0
     scale_noise_sigma: float = 0.0
     angle_noise_sigma: float = 0.0
+
+    def __post_init__(self):
+        for w in self.inlier_rates:  # before any rate sizes a scene
+            _check_inlier_rate(w)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def required_iterations(w: float, n: int, p: float, max_iterations: int = DEFAUL
 class RansacConfig:
     """Parameters of a RANSAC run.
 
-    ``sample_size`` must be 4 (the batched minimal DLT); result documents echo it.
+    ``sample_size`` must be 4 (the closed-form minimal solver); result documents echo it.
     """
 
     epsilon: float = 4.0
@@ -78,7 +78,7 @@ class RansacConfig:
         if not self.epsilon > 0.0:  # NaN fails too
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.sample_size != 4:
-            raise ValueError(f"sample_size must be 4 (the minimal DLT), got {self.sample_size}")
+            raise ValueError(f"sample_size must be 4 (the minimal solver), got {self.sample_size}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -166,8 +166,8 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
     """Adaptive RANSAC with separate sampling and scoring pools (each a Pool or a sequence).
 
     Draws 4 distinct correspondences (``config.sample_size``) per iteration from
-    ``sample_pool`` (a degenerate sample consumes its iteration), solves the
-    minimal DLT, and counts support in ``score_pool`` at threshold
+    ``sample_pool`` (a degenerate sample consumes its iteration), solves it
+    exactly in closed form, and counts support in ``score_pool`` at threshold
     ``config.epsilon``. The iteration budget starts from ``w_init`` (None:
     plain RANSAC's min(1, sample_size / len(sample_pool))) and is re-derived
     from support / len(sample_pool) after each improvement, never increasing.

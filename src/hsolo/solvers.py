@@ -1,11 +1,11 @@
 """Homography solvers.
 
 Three entry points: the Hartley-normalized least-squares DLT for four or more
-correspondences, the same normalized DLT for a batch of 4-point samples (the
+correspondences, the exact closed form for a batch of 4-point samples (the
 RANSAC minimal solver), and the closed-form similarity built from a single
-correspondence's scale and rotation byproducts. Both DLTs build their systems
-with one batched normalization and design-matrix kernel and share one
-collinear-triple test.
+correspondence's scale and rotation byproducts. The 4-point closed form and
+the DLT on exactly four points share one collinear-triple test, taken from
+the triangle determinants the closed form is built on.
 
 The single-match solver treats each feature's byproducts as a canonical-patch
 to image map (scale, then rotate, then translate onto the feature point). The
@@ -58,21 +58,38 @@ def single_match_homography(c: Correspondence) -> Homography:
     return Homography(np.array(sketch))
 
 
-# the four source triples of a 4-point sample, as index columns i, j, k
-_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
+def _triangles(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangle determinants of 4-point sets, each in its own exact frame.
+
+    pts: (2, 4, ...) coordinates, then points, then any batch axes. Each set
+    is moved so its first point is the origin and scaled by a power of two
+    (exact) that brings its largest coordinate difference into [0.5, 1), so
+    no product below can overflow or underflow at any coordinate scale.
+    Returns (n (2, 3, ...) the other three points in that frame, e (...) the
+    exponents with n = (p - p0) * 2**-e, t (4, ...) the signed doubled areas of
+    triangles 012, 013, 023 and 123).
+    """
+    d = pts[:, 1:] - pts[:, :1]
+    e = np.frexp(np.abs(d).max(axis=(0, 1)))[1]
+    n = np.ldexp(d, -e)
+    (ax, bx, cx), (ay, by, cy) = n
+    t123 = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    t = np.array((ax * by - ay * bx, ax * cy - ay * cx, bx * cy - by * cx, t123))
+    return n, e, t
 
 
-def _no_collinear_triple(src: np.ndarray) -> np.ndarray:
-    """False for each (c, 4, 2) source sample with a collinear triple.
+def _no_collinear_triple(n: np.ndarray, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """False for each 4-point source set (:func:`_triangles` output) with a collinear triple.
 
     A triple counts as collinear when its triangle area is at most
-    :data:`COLLINEARITY_AREA_RTOL` times the sample's bounding-box area.
+    :data:`COLLINEARITY_AREA_RTOL` times the set's bounding-box area. Both
+    are taken back to pixel units exactly, so a set whose pixel area
+    overflows counts as degenerate: the scorer squares pixel residuals and
+    could not use its model.
     """
-    i, j, k = _TRIPLES
-    spans = src.max(axis=1) - src.min(axis=1)
-    ab, ac = src[:, j] - src[:, i], src[:, k] - src[:, i]
-    area = 0.5 * np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
-    return area.min(axis=1) > COLLINEARITY_AREA_RTOL * (spans[:, 0] * spans[:, 1])
+    span = np.maximum(n.max(axis=1), 0.0) - np.minimum(n.min(axis=1), 0.0)
+    area = np.ldexp(0.5 * np.abs(t).min(axis=0), 2 * e)
+    return area > COLLINEARITY_AREA_RTOL * np.ldexp(span[0] * span[1], 2 * e)
 
 
 def _check_spread(src: np.ndarray) -> None:
@@ -114,7 +131,7 @@ def _dlt_system(src: np.ndarray, dst: np.ndarray):
     homography entries, the last pinned to 1. Returns (a (c, 2k, 8),
     rhs (c, 2k), t1, (s2, c2), ok): the source normalizations (c, 3, 3), the
     scales and centroids of the target ones, and ok False where either side
-    is coincident or, for minimal sets (k = 4), a source triple is collinear.
+    is coincident.
     """
     un, s1, c1, ok1 = _hartley(src)
     xn, s2, c2, ok2 = _hartley(dst)
@@ -128,8 +145,6 @@ def _dlt_system(src: np.ndarray, dst: np.ndarray):
     a[:, :, 1, 5] = 1.0
     a[:, :, 1, 6:8] = -un * xn[..., 1:2]
     ok = ok1 & ok2
-    if k == 4:
-        ok &= _no_collinear_triple(src)
     t1 = _similarity(s1, -s1[:, None] * c1)
     return a.reshape(count, 2 * k, 8), xn.reshape(count, 2 * k), t1, (s2, c2), ok
 
@@ -160,6 +175,8 @@ def dlt_solve(correspondences) -> Homography:
     if len(src) > 4:
         _check_spread(src)
     a, rhs, t1, (s2, c2), ok = _dlt_system(src[None], dst[None])
+    if len(src) == 4:
+        ok &= _no_collinear_triple(*_triangles(src.T))
     if not ok[0]:
         raise DegenerateConfiguration("collinear source triple or coincident points")
 
@@ -171,30 +188,41 @@ def dlt_solve(correspondences) -> Homography:
 
 
 def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized DLT on a batch of 4-point samples.
+    """Exact homographies of a batch of 4-point samples, in closed form.
 
     src, dst: (c, 4, 2). Returns (models (c, 3, 3), valid (c,)). Invalid rows
-    (collinear sources, coincident points, singular systems) carry garbage
-    models and must be ignored by the caller. Each valid model matches
-    :func:`dlt_solve` on the same sample up to rounding: this path solves the
-    square system directly and inverts the target normalization analytically.
+    (a collinear source triple, four coincident targets, a model that is not
+    finite) carry garbage models and must be ignored by the caller. Each
+    valid model matches :func:`dlt_solve` on the same sample up to rounding
+    and scale.
+
+    With B(p) the map sending the projective basis e1, e2, e3, (1, 1, 1) onto
+    four points, the model is B(dst) adj(B(src)) (Heckbert 1989). In each
+    image's :func:`_triangles` frame, B's columns are lambda_i (x_i, y_i, 1),
+    point 0 at the origin, and Cramer's rule without its division gives
+    lambda = (t123, -t023, t013). The product is written out entry by entry,
+    all elementwise over the batch, then taken back to pixel coordinates.
     """
-    a, rhs, t1, (s2, c2), valid = _dlt_system(src, dst)
-
-    a[~valid] = np.eye(8)
-    try:
-        h = np.linalg.solve(a, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # rare: an exactly singular system slipped past the area check
-        h = np.zeros((len(a), 8))
-        for idx in range(len(a)):
-            try:
-                h[idx] = np.linalg.solve(a[idx], rhs[idx])
-            except np.linalg.LinAlgError:
-                valid[idx] = False
-    finite = np.isfinite(h).all(axis=1)
-    valid &= finite
-    h[~finite] = 0.0
-
-    # the target normalization, inverted analytically
-    return _similarity(1.0 / s2, c2) @ _matrices(h) @ t1, valid
+    pts = np.array((src.T, dst.T)).transpose(1, 2, 0, 3)  # (coordinate, point, image, sample)
+    n, e, t = _triangles(pts)
+    valid = _no_collinear_triple(n[:, :, 0], e[0], t[:, 0]) & n[:, :, 1].any(axis=(0, 1))
+    (ax, bx, _), (ay, by, _) = n[:, :, 0]
+    a, b = n[:, 0, 1], n[:, 1, 1]  # target points 1 and 2
+    # the model is sum_i g_i q_i r_i^T: q_i the target points (homogeneous),
+    # r_i the rows p1 x p2, p2 x p0, p0 x p1 of adj(P(src)), and g_i the
+    # target lambda_i times the other two source lambdas (one sign dropped)
+    _, t013, t023, t123 = t
+    g0, g1, g2 = t123[1] * (t023[0] * t013[0]), t023[1] * (t123[0] * t013[0]), t013[1] * (t123[0] * t023[0])
+    u, v, p, q = g1 * by, g2 * ay, g1 * bx, g2 * ax
+    h = np.empty((3, 3, len(src)))
+    # undo the frames' scales: 2**e_dst on the target rows, 2**-e_src on the source columns
+    h[:2, 0] = np.ldexp(a * u - b * v, e[1] - e[0])
+    h[:2, 1] = np.ldexp(b * q - a * p, e[1] - e[0])
+    h[2, :2] = np.ldexp(np.array((u - v + g0 * (ay - by), q - p + g0 * (bx - ax))), -e[0])
+    h[:2, 2] = 0.0
+    h[2, 2] = g0 * t[0, 0]
+    # then their translations: source point 0 to the origin, the origin to target point 0
+    h[:, 2] -= h[:, 0] * pts[0, 0, 0] + h[:, 1] * pts[1, 0, 0]
+    h[:2] += pts[:, 0, 1, None] * h[2]
+    valid &= np.isfinite(h).all(axis=(0, 1))
+    return np.ascontiguousarray(h.transpose(2, 0, 1)), valid

@@ -32,9 +32,14 @@ _LOG_SCALE_RANGE = (math.log(0.5), math.log(2.0))
 
 def _check_bounds(image_bounds: tuple[float, float]) -> tuple[float, float]:
     width, height = image_bounds
-    if not (width > 0 and height > 0):  # NaN fails too
+    if not (0 < width < math.inf and 0 < height < math.inf):  # NaN fails too
         raise ValueError(f"image bounds must be positive, got {image_bounds}")
     return width, height
+
+
+def _check_inlier_rate(w: float) -> None:
+    if not 0.0 < w <= 1.0:  # NaN fails too
+        raise ValueError(f"inlier_rate must be in (0, 1], got {w}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,9 @@ class SceneSpec:
         _check_bounds(self.image_bounds)
         if self.n_total < 8:
             raise ValueError(f"n_total must be >= 8, got {self.n_total}")
-        if not 0.0 < self.inlier_rate <= 1.0:
-            raise ValueError(f"inlier_rate must be in (0, 1], got {self.inlier_rate}")
+        _check_inlier_rate(self.inlier_rate)
         for name in ("pixel_noise_sigma", "scale_noise_sigma", "angle_noise_sigma"):
-            if not getattr(self, name) >= 0.0:
+            if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0")
 
 

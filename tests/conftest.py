@@ -60,6 +60,14 @@ def pool_from_arrays(src: np.ndarray, dst: np.ndarray) -> list:
     ]
 
 
+def assert_models_equal_up_to_scale(got: np.ndarray, want: np.ndarray, atol: float) -> None:
+    """(c, 3, 3) models agree within atol once each pair is scaled to Frobenius norm 1 and the same sign."""
+    got = got / np.linalg.norm(got, axis=(1, 2), keepdims=True)
+    want = want / np.linalg.norm(want, axis=(1, 2), keepdims=True)
+    got *= np.sign((got * want).sum(axis=(1, 2)))[:, None, None]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
 def random_points(rng: np.random.Generator, n: int, width=640.0, height=480.0):
     return [
         Point2(rng.uniform(0.05 * width, 0.95 * width), rng.uniform(0.05 * height, 0.95 * height))

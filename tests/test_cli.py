@@ -79,6 +79,25 @@ class TestGenerate:
         assert message in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("generate x.csv --width inf", "image bounds must be positive"),
+            ("generate x.csv --pixel-noise inf", "pixel_noise_sigma must be >= 0"),
+            ("bench --height inf --trials 1 --n 100", "image bounds must be positive"),
+        ],
+    )
+    def test_infinite_parameter_fails_its_range_check(self, tmp_path, capsys, command, message):
+        argv = command.split()
+        if argv[0] == "generate":
+            argv[1] = str(tmp_path / argv[1])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestSolve:
     def test_seeded_method_on_generated_scene(self, scene_file, capsys):
@@ -297,6 +316,11 @@ class TestBench:
         argv = ["bench", "--epsilon", "nan", "--methods", "ransac", "--trials", "2", "--n", "200", "--w", "0.2"]
         assert main(argv) == 2
         assert "epsilon must be > 0, got nan" in capsys.readouterr().err
+
+    def test_nan_rate_fails_its_range_check(self, capsys):
+        # it used to fail sizing the scene: "cannot convert float NaN to integer"
+        assert main(["bench", "--trials", "1", "--n", "100", "--w", "0.2,nan"]) == 2
+        assert capsys.readouterr().err == "error: inlier_rate must be in (0, 1], got nan\n"
 
 
 class TestTheory:

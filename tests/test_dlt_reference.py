@@ -1,10 +1,10 @@
-"""The shared DLT kernel against the two separate DLTs it replaced.
+"""The solvers against the earlier separate per-solver DLTs, kept verbatim apart from names.
 
-``dlt_solve`` and the RANSAC minimal solver ``solve_minimal_batch`` build their
-systems with one batched Hartley-normalization and design-matrix kernel and
-share one collinear-triple test. The references below are the earlier
-per-solver implementations, kept verbatim apart from names: models must agree
-bit for bit, and degeneracy must be flagged on exactly the same samples.
+``dlt_solve`` builds its system with the batched Hartley-normalization and
+design-matrix kernel and must agree with its reference bit for bit. The RANSAC
+minimal solver ``solve_minimal_batch`` is the exact 4-point closed form, not a
+DLT: it must flag degeneracy on exactly the same samples as its reference and
+agree with it up to scale, to rounding.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 from hsolo import DegenerateConfiguration, Homography, IllConditioned, dlt_solve
 from hsolo.solvers import COLLINEARITY_AREA_RTOL, MAX_DESIGN_CONDITION, solve_minimal_batch
 
-from conftest import pool_from_arrays
+from conftest import assert_models_equal_up_to_scale, pool_from_arrays
 
 
 def reference_minimal_batch(src, dst):
@@ -137,7 +137,7 @@ def _perspective_images(rng, src):
     return h[:, :2] / h[:, 2:]
 
 
-def test_minimal_batch_matches_reference_bit_for_bit(rng):
+def test_minimal_batch_matches_reference_up_to_scale(rng):
     for trial in range(6):
         src = rng.uniform(0.0, 640.0, (2048, 4, 2))
         dst = rng.uniform(0.0, 640.0, (2048, 4, 2))
@@ -150,7 +150,8 @@ def test_minimal_batch_matches_reference_bit_for_bit(rng):
         want, want_valid = reference_minimal_batch(src, dst)
         np.testing.assert_array_equal(got_valid, want_valid)
         assert 0 < np.count_nonzero(~want_valid) < len(src)
-        np.testing.assert_array_equal(got[want_valid], want[want_valid])
+        # worst seen on these samples: 8e-14
+        assert_models_equal_up_to_scale(got[want_valid], want[want_valid], atol=1e-12)
 
 
 def test_dlt_solve_matches_reference_bit_for_bit(rng):

@@ -20,8 +20,9 @@ from hsolo import (
 )
 from hsolo.geometry import pool_arrays, project_points, transfer_errors
 from hsolo.solvers import solve_minimal_batch
+from hsolo.synthetic import random_scene_truth
 
-from conftest import exact_pool, pool_from_arrays, random_points, random_truth
+from conftest import assert_models_equal_up_to_scale, exact_pool, pool_from_arrays, random_points, random_truth
 
 
 def random_feature(rng, width=640.0, height=480.0) -> AffineFeature:
@@ -140,7 +141,44 @@ class TestDltSolve:
 
 
 class TestSolveMinimalBatch:
-    """The RANSAC minimal solver against the least-squares DLT on the same samples."""
+    """The RANSAC minimal solver against the truth and the least-squares DLT on the same samples."""
+
+    def test_recovers_noise_free_truths(self, rng):
+        truths = np.array([random_scene_truth(rng, (640.0, 480.0)).m for _ in range(300)])
+        src = rng.uniform(0.0, 1.0, size=(300, 4, 2)) * [640.0, 480.0]
+        dst = np.array([project_points(m, s)[0] for m, s in zip(truths, src)])
+        models, valid = solve_minimal_batch(src, dst)
+        assert valid.all()
+        assert_models_equal_up_to_scale(models, truths, atol=1e-9)
+
+    def test_far_out_and_tiny_coordinates_give_valid_models(self, rng):
+        # each sample is solved in its own frame, so scales may mix in one batch
+        corners = np.array([[160.0, 120.0], [480.0, 120.0], [480.0, 360.0], [160.0, 360.0]])
+        src = corners + rng.uniform(-120.0, 120.0, size=(40, 4, 2))
+        truths = np.array([random_truth(rng).m for _ in range(len(src))])
+        dst = np.array([project_points(m, s)[0] for m, s in zip(truths, src)])
+        scales = np.repeat([1e-150, 1e150], 20)[:, None, None]
+        with np.errstate(all="raise"):
+            models, valid = solve_minimal_batch(src * scales, dst * scales)
+        assert valid.all()
+        # scaling both images by k turns H into diag(k, k, 1) H diag(1/k, 1/k, 1)
+        back = models.copy()
+        back[:, :2, 2] /= scales[:, :, 0]
+        back[:, 2, :2] *= scales[:, 0]
+        assert_models_equal_up_to_scale(back, truths, atol=1e-9)
+
+    def test_exactly_singular_samples_are_invalid_without_raising(self):
+        src = np.tile([[0.0, 0.0], [100.0, 0.0], [100.0, 80.0], [0.0, 80.0]], (5, 1, 1))
+        dst = src + 7.0
+        src[0] = 0.0  # everything at the origin
+        dst[0] = 0.0
+        src[1] = src[1, :1]  # four coincident sources
+        src[2, 2] = (50.0, 0.0)  # three collinear sources
+        dst[3] = dst[3, :1]  # four coincident targets
+        with np.errstate(all="raise"):
+            models, valid = solve_minimal_batch(src, dst)
+        np.testing.assert_array_equal(valid, [False, False, False, False, True])
+        assert np.isfinite(models).all()
 
     def test_matches_dlt_solve_in_general_position(self, rng):
         # each sample: one random point per image quadrant, and a random

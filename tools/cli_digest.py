@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 44 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 46 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -34,6 +34,7 @@ COMMANDS = [
     "generate d.csv --n 300 --w 0.2 --seed 4 --width 4000 --height 3000",
     "generate e.csv --truth 1,0,0,2,0,0,0,0,1",
     "generate m.csv --n 300 --w 0.2 --seed 5 --truth=-1,0,640,0,1,0,0,0,1",
+    "generate x.csv --width inf",
     "solve a.csv",
     "solve a.csv --method ransac",
     "solve b.csv",
@@ -71,6 +72,7 @@ COMMANDS = [
     "bench --input empty.csv --trials 2",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
+    "bench --trials 1 --n 100 --w nan",
     "theory",
     "theory --w 0.01,0.1 --n-values 4,7",
 ]
