@@ -106,7 +106,8 @@ def _evaluate(result, elapsed, method, w_true, held_out, seed) -> TrialRecord:
     if result is None:
         return TrialRecord(method, w_true, False, math.inf, 0, elapsed, seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_err = float(np.mean(transfer_errors(result.model.m, *held_out)))
+        errors = transfer_errors(result.model.m, *held_out)
+        mean_err = float(np.mean(errors)) if len(errors) else math.inf
     if math.isnan(mean_err):
         mean_err = math.inf
     return TrialRecord(

@@ -187,8 +187,9 @@ def _cmd_calibrate(args) -> int:
         seed_set = "all"
     medians = seed_medians(seeds, pool, n_f)
     finite = medians[np.isfinite(medians)]
-    # finite <= seeds <= pool rows: estimate_epsilon_r's ">= 4" test covers all three
-    suggested = estimate_epsilon_r(finite)
+    # finite <= seeds <= pool rows: estimate_epsilon_r's ">= 4" test covers all three;
+    # a fence the estimators' own epsilon_r rule rejects is no suggestion
+    suggested = HsoloConfig(epsilon_r=estimate_epsilon_r(finite)).epsilon_r
     q1, q3 = np.percentile(finite, [25.0, 75.0])
     sys.stdout.write(f"n_seeds: {len(finite)}\n")
     sys.stdout.write(f"seed_set: {seed_set}\n")

@@ -100,58 +100,19 @@ def _check_spread(src: np.ndarray) -> None:
         raise DegenerateConfiguration("source points span no area")
 
 
-def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Move each (c, k, 2) point set to centroid 0 and RMS radius sqrt(2).
+def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move an (n, 2) point set to centroid 0 and RMS radius sqrt(2).
 
-    Returns (normalized points, scales (c,), centroids (c, 2), ok (c,)); ok
-    is False for a set of coincident points, whose scale is a placeholder.
+    Returns (normalized points, the 3x3 similarity doing it).
     """
-    # sums divided by the count: the bits of np.mean, without its call overhead
-    centroid = pts.sum(axis=1, keepdims=True) / pts.shape[1]
+    centroid = pts.mean(axis=0)
     centered = pts - centroid
-    rms = np.sqrt(np.sum(centered**2, axis=2).sum(axis=1) / pts.shape[1])
-    ok = rms > 0.0
-    s = math.sqrt(2.0) / np.where(ok, rms, 1.0)
-    return centered * s[:, None, None], s, centroid[:, 0], ok
-
-
-def _similarity(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(c, 3, 3) matrices scaling by s (c,), then translating by t (c, 2)."""
-    m = np.zeros((s.shape[0], 3, 3))
-    m[:, 0, 0] = m[:, 1, 1] = s
-    m[:, :2, 2] = t
-    m[:, 2, 2] = 1.0
-    return m
-
-
-def _dlt_system(src: np.ndarray, dst: np.ndarray):
-    """Hartley-normalized DLT systems of (c, k, 2) correspondence sets.
-
-    Rows 2i and 2i + 1 are point i's x and y equations in the first 8
-    homography entries, the last pinned to 1. Returns (a (c, 2k, 8),
-    rhs (c, 2k), t1, (s2, c2), ok): the source normalizations (c, 3, 3), the
-    scales and centroids of the target ones, and ok False where either side
-    is coincident.
-    """
-    un, s1, c1, ok1 = _hartley(src)
-    xn, s2, c2, ok2 = _hartley(dst)
-    count, k = un.shape[:2]
-    # per point (u, v) -> (x, y): [u v 1 0 0 0 -ux -vx] = x, [0 0 0 u v 1 -uy -vy] = y
-    a = np.zeros((count, k, 2, 8))
-    a[:, :, 0, 0:2] = un
-    a[:, :, 0, 2] = 1.0
-    a[:, :, 0, 6:8] = -un * xn[..., 0:1]
-    a[:, :, 1, 3:5] = un
-    a[:, :, 1, 5] = 1.0
-    a[:, :, 1, 6:8] = -un * xn[..., 1:2]
-    ok = ok1 & ok2
-    t1 = _similarity(s1, -s1[:, None] * c1)
-    return a.reshape(count, 2 * k, 8), xn.reshape(count, 2 * k), t1, (s2, c2), ok
-
-
-def _matrices(h: np.ndarray) -> np.ndarray:
-    """(c, 8) entry rows as (c, 3, 3) matrices with the last entry 1."""
-    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1).reshape(-1, 3, 3)
+    rms = math.sqrt(float(np.mean(np.sum(centered**2, axis=1))))
+    if rms == 0.0:
+        raise DegenerateConfiguration("collinear source triple or coincident points")
+    s = math.sqrt(2.0) / rms
+    t = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+    return centered * s, t
 
 
 def dlt_solve(correspondences) -> Homography:
@@ -163,28 +124,31 @@ def dlt_solve(correspondences) -> Homography:
     Raises
     ------
     DegenerateConfiguration
-        Collinear or coincident source points.
+        Collinear or coincident source points, or coincident targets.
     IllConditioned
         The normalized design matrix is too badly conditioned to trust.
     SingularMatrix
         The fit is singular to tolerance, e.g. three targets collinear but not their sources.
     """
     src, dst = pool_arrays(correspondences)
-    if len(src) < 4:
-        raise ValueError(f"need at least 4 correspondences, got {len(src)}")
-    if len(src) > 4:
+    n = len(src)
+    if n < 4:
+        raise ValueError(f"need at least 4 correspondences, got {n}")
+    if n > 4:
         _check_spread(src)
-    a, rhs, t1, (s2, c2), ok = _dlt_system(src[None], dst[None])
-    if len(src) == 4:
-        ok &= _no_collinear_triple(*_triangles(src.T))
-    if not ok[0]:
+    elif not _no_collinear_triple(*_triangles(src.T)):
         raise DegenerateConfiguration("collinear source triple or coincident points")
-
-    h, _, rank, sv = np.linalg.lstsq(a[0], rhs[0], rcond=None)
+    un, t1 = _hartley(src)
+    xn, t2 = _hartley(dst)
+    # point i's rows: [u v 1 0 0 0 -ux -vx] = x, then [0 0 0 u v 1 -uy -vy] = y
+    a = np.zeros((n, 2, 8))
+    a[:, 0, 0:2] = a[:, 1, 3:5] = un
+    a[:, 0, 2] = a[:, 1, 5] = 1.0
+    a[:, :, 6:8] = -un[:, None] * xn[:, :, None]
+    h, _, rank, sv = np.linalg.lstsq(a.reshape(2 * n, 8), xn.reshape(2 * n), rcond=None)
     if rank < 8 or sv[-1] <= 0.0 or sv[0] / sv[-1] > MAX_DESIGN_CONDITION:
         raise IllConditioned("DLT system condition estimate exceeds bound")
-    t2 = _similarity(s2, -s2[:, None] * c2)[0]
-    return Homography(np.linalg.inv(t2) @ _matrices(h[None])[0] @ t1[0])
+    return Homography(np.linalg.inv(t2) @ np.append(h, 1.0).reshape(3, 3) @ t1)
 
 
 def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -292,6 +292,21 @@ class TestBench:
         assert rc == 0
         assert "ransac" in capsys.readouterr().out
 
+    def test_file_flagging_no_inliers_scores_inf_without_warning(self, scene_file, tmp_path):
+        lines = scene_file.read_text().splitlines()
+        zero = tmp_path / "zero.csv"
+        zero.write_text("\n".join([lines[0]] + [ln.rsplit(",", 1)[0] + ",0" for ln in lines[1:]]) + "\n")
+        rec = tmp_path / "records.tsv"
+        argv = ["bench", "--input", str(zero), "--methods", "ransac", "--trials", "2",
+                "--max-iterations", "2000", "--records-out", str(rec)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        header, *rows = rec.read_text().splitlines()
+        column = header.split("\t").index("mean_reproj_error")
+        assert [row.split("\t")[column] for row in rows] == ["inf", "inf"]
+
     def test_repeated_method_is_bad_input(self, capsys):
         rc = main(["bench", "--trials", "2", "--n", "200", "--w", "0.05,0.3",
                    "--methods", "hsolo,hsolo,ransac", "--seed", "1"])
@@ -361,6 +376,16 @@ class TestCalibrate:
             f"{CORR_HEADER}\n" + "\n".join(f"{i},{i},{i},{i}" for i in range(10)) + "\n"
         )
         assert main(["calibrate-epsilon-r", str(pts)]) == 2
+
+    def test_zero_fence_is_bad_input(self, tmp_path, capsys):
+        """Noise-free inlier seeds all have median 0: a suggestion no estimator accepts."""
+        path = tmp_path / "c.csv"
+        truth = "1,0,25,0,1,-10,0,0,1"
+        assert main(["generate", str(path), "--n", "200", "--w", "0.3", "--seed", "3", "--truth", truth]) == 0
+        capsys.readouterr()
+        assert main(["calibrate-epsilon-r", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: epsilon_r must be > 0, got 0.0\n")
 
     @pytest.mark.parametrize("nf", [1, 3, 4])
     def test_filtered_set_size_follows_the_estimators_rule(self, scene_file, capsys, nf):

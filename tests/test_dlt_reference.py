@@ -1,7 +1,7 @@
 """The solvers against the earlier separate per-solver DLTs, kept verbatim apart from names.
 
-``dlt_solve`` builds its system with the batched Hartley-normalization and
-design-matrix kernel and must agree with its reference bit for bit. The RANSAC
+``dlt_solve`` normalizes its one point set and builds its 2n x 8 system
+directly, and must agree with its reference bit for bit. The RANSAC
 minimal solver ``solve_minimal_batch`` is the exact 4-point closed form, not a
 DLT: it must flag degeneracy on exactly the same samples as its reference and
 agree with it up to scale, to rounding.

@@ -120,6 +120,13 @@ class TestDltSolve:
         with pytest.raises(DegenerateConfiguration):
             dlt_solve(pool)
 
+    @pytest.mark.parametrize("n", [4, 30])
+    def test_coincident_targets_are_degenerate(self, rng, n):
+        src = np.array([(p.u, p.v) for p in random_points(rng, n)])
+        dst = np.tile([(200.0, 150.0)], (n, 1))
+        with pytest.raises(DegenerateConfiguration):
+            dlt_solve(pool_from_arrays(src, dst))
+
     def test_collinear_target_triple_is_singular(self):
         # sources in general position, but three targets on one line: the
         # least-squares fit exists and is singular, which Homography rejects

@@ -4,14 +4,14 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 46 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 48 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
 ``generate`` commands and from files this script writes: header-only,
-point-only, unflagged, a 3-row one, and one with extreme byproduct rows. Paths are
-relative to the temporary directory, so two checkouts give the same lines
-exactly when their command-line bytes agree::
+point-only, unflagged, flagged with no inliers, a 3-row one, and one with
+extreme byproduct rows. Paths are relative to the temporary directory, so two
+checkouts give the same lines exactly when their command-line bytes agree::
 
     diff <(python tools/cli_digest.py OLD/src) <(python tools/cli_digest.py src)
 """
@@ -59,6 +59,7 @@ COMMANDS = [
     "calibrate-epsilon-r three.csv",
     "calibrate-epsilon-r empty.csv",
     "calibrate-epsilon-r a.csv --nf 3",
+    "calibrate-epsilon-r c.csv",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 1",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
     "bench --trials 2 --n 200 --w 0.05,0.4 --pixel-noise 0.5 --scale-noise 0.05 --angle-noise 0.05"
@@ -70,6 +71,7 @@ COMMANDS = [
     "bench --input points.csv --trials 2",
     "bench --input empty.csv --methods ransac --trials 2",
     "bench --input empty.csv --trials 2",
+    "bench --input zero.csv --methods ransac --trials 2 --max-iterations 2000",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
     "bench --trials 1 --n 100 --w nan",
@@ -92,6 +94,7 @@ def _write_derived_inputs(work: Path) -> None:
     lines = (work / "a.csv").read_text().splitlines()[1:]
     rows = [ln.rsplit(",", 1)[0] for ln in lines]
     (work / "unflagged.csv").write_text(HEADER + "\n".join(rows) + "\n")
+    (work / "zero.csv").write_text(HEADER + "".join(row + ",0\n" for row in rows))
     (work / "three.csv").write_text(HEADER + "\n".join(rows[:3]) + "\n")
     # an overflowing sketch and a singular one (a 1/200 scale ratio)
     extreme = rows[:200] + [
