@@ -249,6 +249,8 @@ def run_benchmark(
         raise ValueError(f"each method may be named once, got {methods}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     configs = {"hsolo": hsolo_config, "ransac": ransac_config}
     if isinstance(source, SceneSweep):

@@ -17,6 +17,7 @@ sequence of correspondences, converted once by ``as_pool``.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -125,7 +126,27 @@ def _filtered_from_errors(errors: np.ndarray, n_f: int) -> FilteredSet:
     return FilteredSet(indices=idx, errors=errs, median_error=float(_median_of_smallest(errs, take)))
 
 
-def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tuple[np.ndarray, np.ndarray]:
+def _gate_threshold(epsilon_r: float) -> float:
+    """A bound on squared distances that every error ``<= epsilon_r`` keeps.
+
+    An error is ``np.hypot(dx, dy)``, within one ulp of sqrt(dx**2 + dy**2);
+    each of the three roundings in ``dx*dx + dy*dy`` adds at most half an
+    ulp more. So an error ``e <= epsilon_r`` has
+    ``dx*dx + dy*dy <= epsilon_r**2 * (1 + 2**-49)`` wherever the values
+    are normal, and the relative slack 2**-40 covers that with room for the
+    roundings of this bound. Where the error, a square or ``epsilon_r**2``
+    is subnormal, each is off by at most 2**-1074 absolute, which the
+    smallest normal double added here covers. A sum that overflows needs
+    ``epsilon_r**2`` to overflow too, and that gives +inf, which keeps every
+    row. A NaN squared distance is not counted; its error is NaN or +inf,
+    which the exact path makes +inf, above every finite epsilon_r.
+    """
+    return epsilon_r * epsilon_r * (1.0 + 2.0**-40) + sys.float_info.min
+
+
+def _seed_block(
+    seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Pool errors under each seed's similarity sketch, and each seed's gate median.
 
     Returns ``(errors, medians)``. Row i of ``errors`` holds the error of
@@ -134,7 +155,15 @@ def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tupl
     gives, except that NaN becomes +inf. ``medians[i]`` is the median of the
     row's min(n_f, n) smallest errors. A seed whose sketch fails
     :func:`~hsolo.geometry.valid_homography` (non-finite or singular) gets
-    +inf throughout, so it fails every gate instead of raising.
+    +inf throughout, so it fails every finite gate instead of raising.
+
+    Without ``epsilon_r`` every row is exact. With it, the gate
+    ``median <= epsilon_r`` is first decided by a count: the median is at
+    least the row's value of rank (take - 1) // 2 (it is that value for odd
+    take), so a row can pass only if more than (take - 1) // 2 of its
+    squared distances lie within :func:`_gate_threshold`. Only rows that
+    can pass get exact errors and a median; the rest report +inf errors and
+    a +inf median, so every seed passes or fails as in the exact call.
     """
     u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
     # math.cos and math.sin, as single_match_homography takes them, because
@@ -151,13 +180,30 @@ def _seed_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int) -> tupl
         ok = valid_homography(sketch)
     # one (rows, 1) column per entry against the pool's points; w is exactly 1
     top = [[np.where(ok, e, 0.0)[:, None] for e in row] for row in sketch[:2]]
-    x, y, _ = apply_homogeneous((*top, sketch[2]), src[:, 0], src[:, 1])
-    errors = np.hypot(x - dst[:, 0], y - dst[:, 1])
-    errors[~ok] = np.inf
-    errors[np.isnan(errors)] = np.inf
-    take = min(n_f, errors.shape[1])
+    u, v, tx, ty = np.array((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
+    dx, dy, errors = np.empty((3, len(seeds), len(u)))
+    apply_homogeneous((*top, sketch[2]), u, v, out=(dx, dy))
+    dx -= tx
+    dy -= ty
+    take = min(n_f, len(u))
+    exact = slice(None)
+    threshold = math.inf if epsilon_r is None else _gate_threshold(epsilon_r)
+    if threshold < math.inf:
+        # errors holds the squared distances until the exact rows are known;
+        # a singular sketch's row is +inf and fails every finite gate
+        with np.errstate(over="ignore"):
+            d2 = np.multiply(dx, dx, out=errors)
+            d2 += dy * dy
+        exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
+        errors.fill(np.inf)
+    exact_errors = np.hypot(dx[exact], dy[exact])
+    exact_errors[~ok[exact]] = np.inf
+    exact_errors[np.isnan(exact_errors)] = np.inf
+    errors[exact] = exact_errors
     ranks = sorted({(take - 1) // 2, take // 2})
-    return errors, _median_of_smallest(np.partition(errors, ranks, axis=1), take)
+    medians = np.full(len(seeds), np.inf)
+    medians[exact] = _median_of_smallest(np.partition(exact_errors, ranks, axis=1), take)
+    return errors, medians
 
 
 def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
@@ -321,11 +367,13 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     model is refined before being returned. Reported inlier indices refer to
     the pool order given by the caller.
 
-    Sketches, errors and gate medians are computed for a block of upcoming
-    seeds at once (16 seeds at first, doubling up to a fixed element budget),
-    then the block is replayed seed by seed, so budget updates, random draws
-    and results are exactly those of evaluating one seed at a time. A seed
-    whose byproducts give a non-finite or singular sketch fails the gate.
+    Sketches and gate medians are computed for a block of upcoming seeds at
+    once (16 seeds at first, doubling up to a fixed element budget), with
+    exact pool errors only for the seeds that a count of nearby points shows
+    can pass; then the block is replayed seed by seed, so budget updates,
+    random draws and results are exactly those of evaluating one seed at a
+    time. A seed whose byproducts give a non-finite or singular sketch fails
+    the gate.
 
     Raises :class:`NoModelFound` when no seed passes the gate or no inner
     RANSAC reaches a support of 4.
@@ -355,14 +403,17 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     while it < min(k, n):
         lo, hi = it, min(k, n, it + rows)
         rows = min(2 * rows, max_rows)
-        errors, medians = _seed_block(shuffled[lo:hi], src, dst, config.n_f)
+        errors, medians = _seed_block(shuffled[lo:hi], src, dst, config.n_f, config.epsilon_r)
         passed = medians <= config.epsilon_r
-        # replay in order: every seed walked draws its inner seed, and an
-        # improvement shrinks k before the next seed is looked at
+        # every seed walked draws its inner seed, the same stream as one draw
+        # per seed; only the last block draws seeds it does not walk
+        inner_seeds = rng.integers(0, 2**63, size=hi - lo).tolist()
+        # replay in order: an improvement shrinks k before the next seed is
+        # looked at
         for j in range(hi - lo):
             if it >= k:
                 break
-            inner_seed = int(rng.integers(0, 2**63))
+            inner_seed = inner_seeds[j]
             it += 1
             if not passed[j]:
                 continue

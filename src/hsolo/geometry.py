@@ -174,15 +174,26 @@ class Homography:
         return f"Homography([{rows}])"
 
 
-def apply_homogeneous(m, u, v):
+def apply_homogeneous(m, u, v, out=None):
     """Homogeneous image ``(x, y, w)`` of points ``(u, v)`` under nested 3x3 entries (``m.tolist()``).
 
     The package's one projection arithmetic; elementwise, so floats, arrays
-    and entry columns against a row of points get the same bits.
+    and entry columns against a row of points get the same bits. ``out``, a
+    pair of arrays of the broadcast shape, receives ``x`` and ``y`` (the
+    same bits, with one scratch array for both instead of a few temporaries
+    per plane); ``w`` is always a new value.
     """
     (a, b, c), (d, e, f), (g, h, i) = m
-    x = a * u + b * v + c
-    y = d * u + e * v + f
+    if out is None:
+        x = a * u + b * v + c
+        y = d * u + e * v + f
+    else:
+        x, y = out
+        t = np.multiply(b, v, out=np.empty_like(x))
+        np.add(np.multiply(a, u, out=x), t, out=x)
+        x += c
+        np.add(np.multiply(d, u, out=y), np.multiply(e, v, out=t), out=y)
+        y += f
     w = g * u + h * v + i
     return x, y, w
 

@@ -128,6 +128,13 @@ class TestSyntheticSweep:
         with pytest.raises(ValueError):
             run_benchmark(sweep, ["hsolo"], 0, FAST_HSOLO, FAST_RANSAC)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_rejected(self, workers):
+        # it used to run the trials serially
+        sweep = SceneSweep((640.0, 480.0), 100, (0.2,))
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_benchmark(sweep, ["hsolo", "ransac"], 1, FAST_HSOLO, FAST_RANSAC, workers=workers)
+
 
 def write_scene_file(tmp_path, with_mask=True, with_byproducts=True, w=0.4, n=120, seed=5):
     rng = np.random.default_rng(seed)

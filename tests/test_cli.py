@@ -323,6 +323,14 @@ class TestBench:
         main(argv + ["--workers", "4"])
         assert capsys.readouterr().out == single
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_is_bad_input(self, capsys, workers):
+        # it used to print both summary rows and exit 0
+        assert main(["bench", "--workers", workers, "--trials", "1", "--n", "100", "--w", "0.2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: workers must be >= 1, got {workers}\n"
+
     def test_unknown_method_fails(self, capsys):
         assert main(["bench", "--w", "0.4", "--methods", "sorcery", "--trials", "1"]) == 2
 

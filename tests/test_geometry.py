@@ -19,6 +19,7 @@ from hsolo import (
 )
 from hsolo.geometry import (
     Pool,
+    apply_homogeneous,
     as_pool,
     normalize_angle,
     pool_arrays,
@@ -185,6 +186,17 @@ class TestProjection:
             AffineFeature(Point2(3.0, 4.0), 1.0, 0.0),
         )
         assert reprojection_error(Homography.identity(), c) == 5.0
+
+    def test_output_planes_get_the_same_bits(self, rng):
+        # entry columns against a row of points, as the seed blocks project
+        top = [[rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(6, 1)) for _ in range(3)] for _ in range(2)]
+        u, v = rng.uniform(-700.0, 700.0, size=(2, 50))
+        want = apply_homogeneous((*top, (0.0, 0.0, 1.0)), u, v)
+        x, y = np.empty((2, 6, 50))
+        got = apply_homogeneous((*top, (0.0, 0.0, 1.0)), u, v, out=(x, y))
+        assert got[0] is x and got[1] is y
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestPoolArrays:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hsolo import (
     AffineFeature,
@@ -23,7 +25,7 @@ from hsolo import (
     refine_model,
 )
 from hsolo.estimator import _filtered_from_errors, _seed_block, seed_medians
-from hsolo.geometry import as_pool, pool_arrays, transfer_errors
+from hsolo.geometry import Pool, as_pool, pool_arrays, transfer_errors
 from hsolo.robust import EstimationResult, Improvement, RansacConfig, ransac_homography, required_iterations
 from hsolo.solvers import single_match_homography
 
@@ -220,3 +222,125 @@ def test_nan_errors_rank_last_like_infinity():
     assert fs.indices.tolist() == [3, 1, 0, 2]
     assert fs.errors.tolist() == [0.5, 1.0, math.inf, math.inf]
     assert fs.median_error == math.inf
+
+
+# --- the gate decided by a count ---------------------------------------------
+#
+# With epsilon_r, _seed_block computes exact errors only for rows whose count
+# of squared distances within the widened threshold exceeds (take - 1) // 2.
+# Every seed must pass or fail as in the ungated call, a passing seed must get
+# the same error row and median, and a row that cannot pass must be +inf.
+
+GATE_EPSILONS = (1e-300, 1e-160, 20.0, 1e160, math.inf)
+
+
+def _check_gated_block(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> None:
+    exact_errors, exact_medians = _seed_block(seeds, src, dst, n_f)
+    errors, medians = _seed_block(seeds, src, dst, n_f, epsilon_r)
+    passed = medians <= epsilon_r
+    assert passed.tolist() == (exact_medians <= epsilon_r).tolist()
+    for i in np.flatnonzero(passed):
+        assert errors[i].tobytes() == exact_errors[i].tobytes()
+        assert medians[i] == exact_medians[i]
+    # where squares are far from underflow and overflow, a row that cannot
+    # pass (fewer than (take - 1) // 2 + 1 errors near epsilon_r) is +inf
+    if 1e-140 <= epsilon_r <= 1e140:
+        lo = (min(n_f, src.shape[0]) - 1) // 2
+        near = np.count_nonzero(exact_errors <= epsilon_r * (1.0 + 2.0**-30), axis=1)
+        for i in np.flatnonzero(near <= lo):
+            assert np.isposinf(errors[i]).all() and medians[i] == math.inf, i
+
+
+def _identity_seed_block(offsets, n_f: int, epsilon_r: float):
+    """The gated block of the identity sketch against targets at the given offsets, checked.
+
+    Every source point is the origin, so the error of offset (a, b) is
+    ``np.hypot(a, b)``.
+    """
+    seed = Pool([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    src = np.zeros((len(offsets), 2))
+    dst = np.array(offsets, dtype=float)
+    _check_gated_block(seed, src, dst, n_f, epsilon_r)
+    return _seed_block(seed, src, dst, n_f, epsilon_r)
+
+
+def test_gate_keeps_a_median_that_the_sum_of_squares_rounds_above_epsilon_r():
+    a, b = 2.445868078976142, 9.729328718945194
+    r = float(np.hypot(a, b))
+    assert a * a + b * b > r * r  # so an unwidened squared threshold drops it
+    offsets = [(0.0, 1.0), (0.0, 2.0), (a, b), (0.0, 30.0), (0.0, 40.0)]
+    _, medians = _identity_seed_block(offsets, 5, r)
+    assert medians[0] == r
+
+
+def test_gate_count_rank_for_odd_and_even_filtered_sets():
+    errors = [(0.0, e) for e in (1.0, 2.0, 3.0, 5.0, 8.0, 9.0)]
+    # take 6: the median 4 sits between the values of rank 2 and 3, so three
+    # errors within epsilon_r make the row exact, and two cannot pass
+    assert _identity_seed_block(errors, 6, 4.0)[1][0] == 4.0
+    assert _identity_seed_block(errors, 6, 3.5)[1][0] == 4.0
+    assert _identity_seed_block(errors, 6, 2.5)[1][0] == math.inf
+    # take 5: two errors within 2.5 cannot make a median of 3 pass
+    assert _identity_seed_block(errors[:5], 5, 2.5)[1][0] == math.inf
+    assert _identity_seed_block(errors[:5], 5, 3.0)[1][0] == 3.0
+
+
+@st.composite
+def gated_blocks(draw):
+    """Seeds, a pool's points, n_f and an epsilon_r, the last often within a few ulps of a gate median.
+
+    The pool is a similarity scene at a drawn coordinate scale, so errors
+    and their squares can underflow; seeds include singular and overflowing
+    sketches, and far-out points give errors whose squares or projections
+    overflow, and NaN squared distances.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 1e6]))
+    n = draw(st.integers(1, 30))
+    n_f = draw(st.integers(5, 24))
+    noise = draw(st.sampled_from([0.0, 0.5, 5.0]))
+    r, angle = math.exp(rng.uniform(-0.5, 0.5)), rng.uniform(-math.pi, math.pi)
+    src = rng.uniform(0.0, 640.0, size=(n, 2))
+    rot = r * np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    dst = src @ rot.T + rng.uniform(-100.0, 100.0, size=2) + rng.normal(0.0, noise, size=(n, 2))
+    outliers = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.8]))
+    dst[outliers] = rng.uniform(0.0, 640.0, size=(int(outliers.sum()), 2))
+    seed_rows = np.zeros((n, 8))
+    seed_rows[:, [0, 1]], seed_rows[:, [4, 5]] = src * scale, dst * scale
+    seed_rows[:, 2], seed_rows[:, 6] = 1.0, r * np.exp(rng.normal(0.0, 0.05, size=n))
+    seed_rows[:, 3], seed_rows[:, 7] = 0.0, angle + rng.normal(0.0, 0.05, size=n)
+    specials = draw(st.lists(st.sampled_from(["far", "nan", "singular", "overflow"]), max_size=4))
+    for kind in specials:
+        i = int(rng.integers(n))
+        if kind == "nan":
+            # a seed with entries 2 and -2 sends (1.7e308, 1.7e308) to inf - inf
+            seed_rows[i, 6], seed_rows[i, 7] = 2.0 * math.sqrt(2.0), math.pi / 4
+            seed_rows[int(rng.integers(n)), [0, 1]] = 1.7e308
+        elif kind == "singular":
+            seed_rows[i, 6] = 1e-7
+        elif kind == "overflow":
+            seed_rows[i, 2], seed_rows[i, 6] = 1e-200, 1e200
+        else:
+            seed_rows[i, [0, 1]] = rng.choice([-1.0, 1.0], size=2) * rng.choice([1e300, 1.7e308])
+    seeds = Pool(seed_rows)
+    pool_src, pool_dst = pool_arrays(seeds)
+    if not draw(st.booleans()):
+        return seeds, pool_src, pool_dst, n_f, draw(st.sampled_from(GATE_EPSILONS))
+    with np.errstate(over="ignore", invalid="ignore"):  # far-out points
+        medians = _seed_block(seeds, pool_src, pool_dst, n_f)[1]
+    finite = medians[np.isfinite(medians) & (medians > 0.0)]
+    if finite.size == 0:
+        return seeds, pool_src, pool_dst, n_f, 20.0 * scale
+    epsilon_r = float(finite[draw(st.integers(0, finite.size - 1))])
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        epsilon_r = float(np.nextafter(epsilon_r, math.inf if steps > 0 else 0.0))
+    return seeds, pool_src, pool_dst, n_f, epsilon_r
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=gated_blocks())
+def test_gated_block_decides_every_seed_as_the_exact_block(case):
+    seeds, src, dst, n_f, epsilon_r = case
+    with np.errstate(over="ignore", invalid="ignore"):  # far-out points
+        _check_gated_block(seeds, src, dst, n_f, epsilon_r)

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 48 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 51 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -46,6 +46,8 @@ COMMANDS = [
     "solve m.csv --method ransac",
     "solve a.csv -o result.txt --seed 5",
     "solve a.csv --epsilon nan",
+    "solve a.csv --epsilon-r 1e-300",
+    "solve a.csv --epsilon-r inf",
     "solve points.csv --method ransac",
     "solve points.csv",
     "solve extreme.csv",
@@ -75,6 +77,7 @@ COMMANDS = [
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
     "bench --trials 1 --n 100 --w nan",
+    "bench --workers 0 --trials 1 --n 100 --w 0.2",
     "theory",
     "theory --w 0.01,0.1 --n-values 4,7",
 ]
