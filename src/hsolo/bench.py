@@ -8,15 +8,15 @@ without one fall back to clustering the per-trial mean errors, where the dense
 low-error cluster is presumed correct.
 
 Every trial derives its own seed from the base seed and trial index, so runs
-are reproducible and trials can execute on a worker pool without changing any
-result.
+are reproducible and trials can execute on worker processes without changing
+any result.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,13 +170,28 @@ def _file_trial(pool, held_out, w_true, ti, base_seed, methods, configs):
     return _method_records(pool, methods, configs, streams, w_true, held_out, _seed_int(ss))
 
 
-def _run_trials(trial_fn, args_list, workers: int):
-    if workers <= 1:
-        batches = [trial_fn(*args) for args in args_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda a: trial_fn(*a), args_list))
-    return [rec for batch in batches for rec in batch]
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_trials(trial_fn, args_list, workers: int) -> list:
+    """Each trial's records, in the order of ``args_list``.
+
+    The trials run on min(workers, trials, usable CPUs) processes: this one
+    when that is 1, else one pool of worker processes, for which
+    ``trial_fn`` and its arguments must pickle.
+    """
+    processes = min(workers, len(args_list), _usable_cpus())
+    if processes <= 1:
+        return [trial_fn(*args) for args in args_list]
+    from concurrent.futures import ProcessPoolExecutor  # spares `import hsolo` the process machinery
+
+    # the platform's start method: under spawn each worker of each run would import numpy again
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(trial_fn, *zip(*args_list)))
 
 
 def _summarize(method, w_target, records, trials, skipped) -> SummaryRow:
@@ -279,14 +294,20 @@ def _summaries(methods, run_methods, w, records, trials) -> list[SummaryRow]:
 
 
 def _run_synthetic(sweep, methods, trials, configs, seed, workers) -> BenchmarkResult:
-    records: list[TrialRecord] = []
-    summary: list[SummaryRow] = []
     notes: list[str] = []
+    rates = []  # (w, methods run at w)
+    args = []
     for wi, w in enumerate(sweep.inlier_rates):
         c = round(sweep.n_total * w)
         run_methods = _runnable(methods, c, configs, notes, f" at w={w}: expected inliers {c}")
-        args = [(sweep, w, wi, ti, seed, run_methods, configs) for ti in range(trials)]
-        batch = _run_trials(_synthetic_trial, args, workers) if run_methods else []
+        rates.append((w, run_methods))
+        if run_methods:
+            args.extend((sweep, w, wi, ti, seed, run_methods, configs) for ti in range(trials))
+    batches = iter(_run_trials(_synthetic_trial, args, workers))
+    records: list[TrialRecord] = []
+    summary: list[SummaryRow] = []
+    for w, run_methods in rates:
+        batch = [rec for _ in range(trials) for rec in next(batches)] if run_methods else []
         records.extend(batch)
         summary.extend(_summaries(methods, run_methods, w, batch, trials))
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
@@ -309,7 +330,8 @@ def _run_file(loaded, methods, trials, configs, seed, workers) -> BenchmarkResul
     held_out = pool_arrays(eval_pool)
 
     args = [(pool, held_out, w_true, ti, seed, run_methods, configs) for ti in range(trials)]
-    records = _run_trials(_file_trial, args, workers) if run_methods else []
+    batches = _run_trials(_file_trial, args, workers) if run_methods else []
+    records = [rec for batch in batches for rec in batch]
     if mask is None and records:
         records = _cluster_success(records, run_methods)
     summary = _summaries(methods, run_methods, w_true, records, trials)

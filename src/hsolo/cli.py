@@ -242,7 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--pixel-noise", type=float, default=0.0)
     p_bench.add_argument("--scale-noise", type=float, default=0.0)
     p_bench.add_argument("--angle-noise", type=float, default=0.0)
-    p_bench.add_argument("--workers", type=int, default=1, help="trial worker threads")
+    p_bench.add_argument(
+        "--workers", type=int, default=1,
+        help="trial worker processes, at most one per trial and usable CPU; each has its own"
+        " memory and the output bytes do not change (default 1: in this process)",
+    )
     p_bench.add_argument("--records-out", help="also write the per-trial table here")
     p_bench.add_argument("--timing", action="store_true", help="include real wall times")
     _add_estimator_flags(p_bench)

@@ -158,6 +158,9 @@ class Homography:
         object.__setattr__(self, "m", arr)
         object.__setattr__(self, "_fro", fro)
 
+    def __setstate__(self, state) -> None:  # unpickled arrays come back writeable
+        self._freeze(state["m"], state["_fro"])
+
     @classmethod
     def identity(cls) -> "Homography":
         return cls(np.eye(3))
@@ -265,10 +268,18 @@ class Pool(Sequence):
         rows = self.rows[key]
         if rows.ndim != 2:
             raise IndexError(f"pool index {key!r} does not select rows")
+        return Pool._trusted(rows)
+
+    @classmethod
+    def _trusted(cls, rows: np.ndarray) -> "Pool":
+        """A pool of rows taken from a valid pool, frozen without a second check."""
         rows.flags.writeable = False
-        pool = Pool.__new__(Pool)  # rows of a valid pool need no second check
+        pool = cls.__new__(cls)
         pool.rows = rows
         return pool
+
+    def __reduce__(self):  # unpickled arrays come back writeable
+        return Pool._trusted, (self.rows,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Pool):

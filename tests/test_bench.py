@@ -1,16 +1,22 @@
 """Tests for the benchmark driver: trial orchestration, summaries, clustering."""
 
+import concurrent.futures
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsolo
 from hsolo import (
     FileFormatError,
     HsoloConfig,
     RansacConfig,
     SceneSpec,
     SceneSweep,
+    bench,
     generate_scene,
     load_correspondences,
     random_scene_truth,
@@ -83,18 +89,14 @@ class TestSyntheticSweep:
         assert format_summary(r1) == format_summary(r2)
 
     def test_worker_count_does_not_change_results(self):
-        sweep = SceneSweep((640.0, 480.0), 200, (0.3,))
-        r1 = run_benchmark(sweep, ["hsolo", "ransac"], 4, FAST_HSOLO, FAST_RANSAC, seed=9,
+        # one process pool runs every rate; hsolo is skipped at w=0.05 (5 expected inliers)
+        sweep = SceneSweep((640.0, 480.0), 100, (0.05, 0.3, 0.4))
+        r1 = run_benchmark(sweep, ["hsolo", "ransac"], 3, FAST_HSOLO, FAST_RANSAC, seed=9,
                            workers=1)
-        r4 = run_benchmark(sweep, ["hsolo", "ransac"], 4, FAST_HSOLO, FAST_RANSAC, seed=9,
+        r4 = run_benchmark(sweep, ["hsolo", "ransac"], 3, FAST_HSOLO, FAST_RANSAC, seed=9,
                            workers=4)
-        assert [
-            (r.method, r.w_true, r.success, r.mean_reproj_error, r.iterations, r.seed)
-            for r in r1.records
-        ] == [
-            (r.method, r.w_true, r.success, r.mean_reproj_error, r.iterations, r.seed)
-            for r in r4.records
-        ]
+        assert format_records(r4.records) == format_records(r1.records)
+        assert format_summary(r4) == format_summary(r1)
 
     def test_repeated_method_is_rejected(self):
         # A repeated name would run hsolo at w=0.05, where its note says it is skipped.
@@ -228,3 +230,64 @@ class TestFormatting:
         res = run_benchmark(sweep, ["hsolo"], 2, FAST_HSOLO, FAST_RANSAC, seed=3)
         out = format_summary(res)
         assert any(ln.startswith("# ") for ln in out.splitlines())
+
+
+class TestWorkers:
+    @pytest.fixture
+    def recorder(self, monkeypatch):
+        """Pool sizes asked for, by a serial stand-in for ProcessPoolExecutor on 3 usable CPUs."""
+        sizes = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "workers, trials, sizes",
+        [(1000, 2, [2]), (1000, 4, [3]), (2, 4, [2]), (1, 4, []), (1000, 1, [])],
+    )
+    def test_pool_size_is_capped_by_trials_and_cpus(self, recorder, workers, trials, sizes):
+        sweep = SceneSweep((640.0, 480.0), 100, (0.3,))
+        res = run_benchmark(sweep, ["ransac"], trials, FAST_HSOLO, FAST_RANSAC, seed=2, workers=workers)
+        assert recorder == sizes
+        serial = run_benchmark(sweep, ["ransac"], trials, FAST_HSOLO, FAST_RANSAC, seed=2)
+        assert format_records(res.records) == format_records(serial.records)
+
+    def test_one_pool_runs_every_rate(self, recorder):
+        # hsolo is skipped at w=0.05 (5 expected inliers), so that rate runs only ransac
+        sweep = SceneSweep((640.0, 480.0), 100, (0.05, 0.3, 0.4))
+        res = run_benchmark(sweep, ["hsolo", "ransac"], 2, FAST_HSOLO, FAST_RANSAC, seed=4, workers=8)
+        assert recorder == [3]
+        serial = run_benchmark(sweep, ["hsolo", "ransac"], 2, FAST_HSOLO, FAST_RANSAC, seed=4)
+        assert format_records(res.records) == format_records(serial.records)
+        assert format_summary(res) == format_summary(serial)
+
+    def test_trial_exception_keeps_its_type(self):
+        # SceneSweep checks only its rates; each trial's SceneSpec rejects the noise level
+        sweep = SceneSweep((640.0, 480.0), 100, (0.3, 0.4), pixel_noise_sigma=-1.0)
+        with pytest.raises(ValueError, match="pixel_noise_sigma must be >= 0") as caught:
+            run_benchmark(sweep, ["ransac"], 3, FAST_HSOLO, FAST_RANSAC, workers=2)
+        assert type(caught.value) is ValueError
+
+    def test_import_leaves_out_the_process_machinery(self):
+        src = str(Path(hsolo.__file__).resolve().parents[1])
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import hsolo; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import runpy
 import warnings
 
 import numpy as np
@@ -323,6 +324,24 @@ class TestBench:
         main(argv + ["--workers", "4"])
         assert capsys.readouterr().out == single
 
+    @pytest.mark.parametrize("flagged", [True, False])
+    def test_file_input_output_is_worker_count_invariant(self, scene_file, tmp_path, capsys, flagged):
+        """Flagged files are judged per trial; unflagged ones by clustering all trials' errors."""
+        path = scene_file
+        if not flagged:
+            path = tmp_path / "unflagged.csv"
+            rows = [ln.rsplit(",", 1)[0] for ln in scene_file.read_text().splitlines()[1:]]
+            path.write_text(f"{CORR_HEADER}\n" + "\n".join(rows) + "\n")
+        outputs = []
+        for workers in ("1", "2"):
+            records = tmp_path / f"records{workers}.tsv"
+            argv = ["bench", "--input", str(path), "--trials", "6", "--seed", "3",
+                    "--records-out", str(records), "--workers", workers]
+            assert main(argv) == 0
+            outputs.append((capsys.readouterr().out, records.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert ("# no ground-truth column" in outputs[0][0]) is not flagged
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_worker_count_below_one_is_bad_input(self, capsys, workers):
         # it used to print both summary rows and exit 0
@@ -404,3 +423,11 @@ class TestCalibrate:
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", err), command
         assert main(["calibrate-epsilon-r", str(scene_file), "--nf", "5"]) == 0
+
+
+def test_main_module_runs_the_cli_only_as_the_main_module(monkeypatch):
+    # spawn and forkserver workers import the parent's main module as __mp_main__
+    calls = []
+    monkeypatch.setattr("hsolo.cli.main", lambda *a: calls.append(a))
+    runpy.run_module("hsolo.__main__", run_name="__mp_main__")
+    assert calls == []

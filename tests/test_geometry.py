@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ class TestHomographyConstruction:
         h = Homography.identity()
         with pytest.raises(ValueError):
             h.m[0, 0] = 2.0
+
+    def test_unpickled_matrix_is_read_only(self, rng):
+        # bench ships models and pools to worker processes by pickle
+        h = Homography(random_truth(rng).m * 3.0)
+        back = pickle.loads(pickle.dumps(h))
+        assert back.m.tobytes() == h.m.tobytes() and back._fro == h._fro
+        assert not back.m.flags.writeable
+        with pytest.raises(ValueError):
+            back.m[0, 0] = 2.0
 
     def test_identity_and_translation_factories(self):
         np.testing.assert_array_equal(Homography.identity().m, np.eye(3))
@@ -337,6 +347,20 @@ class TestPool:
         raw = np.ones((2, 8))
         Pool(raw)
         assert raw.flags.writeable  # the input is copied, not frozen
+
+    def test_unpickled_rows_are_read_only_and_not_rechecked(self, rng, monkeypatch):
+        pool = Pool(_raw_rows(rng, 7))
+        data = pickle.dumps(pool[1:])
+
+        def checked_again(self, rows):
+            raise AssertionError("unpickling re-ran the row check")
+
+        monkeypatch.setattr(Pool, "__init__", checked_again)
+        back = pickle.loads(data)
+        assert isinstance(back, Pool) and back.rows.tobytes() == pool.rows[1:].tobytes()
+        assert not back.rows.flags.writeable
+        with pytest.raises(ValueError):
+            back.rows[0, 0] = 1.0
 
     def test_equality_compares_rows(self, rng):
         raw = _raw_rows(rng, 10)

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 51 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 53 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
@@ -69,6 +69,8 @@ COMMANDS = [
     "bench --input a.csv --trials 4 --records-out records.tsv",
     "bench --input unflagged.csv --trials 4",
     "bench --input unflagged.csv --trials 12 --max-iterations 10000",
+    "bench --input a.csv --trials 4 --workers 2",
+    "bench --input unflagged.csv --trials 12 --max-iterations 10000 --workers 2",
     "bench --input points.csv --methods ransac --trials 2",
     "bench --input points.csv --trials 2",
     "bench --input empty.csv --methods ransac --trials 2",
