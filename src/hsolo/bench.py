@@ -25,9 +25,9 @@ from .analysis import NOISE, dbscan_1d
 from .estimator import HsoloConfig, hsolo_estimate
 from .exceptions import InfeasibleSpec, NoModelFound
 from .fileio import LoadedCorrespondences
-from .geometry import pool_arrays, project_points, transfer_errors
+from .geometry import Homography, pool_arrays, project_points, transfer_errors
 from .robust import RansacConfig, ransac_homography
-from .synthetic import SceneSpec, _check_inlier_rate, generate_scene, random_scene_truth
+from .synthetic import SceneSpec, generate_scene, random_scene_truth
 
 SUCCESS_ERROR_PX = 2.0
 METHODS = ("hsolo", "ransac")
@@ -52,7 +52,11 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class SceneSweep:
-    """Synthetic benchmark input: one scene family per inlier rate."""
+    """Synthetic benchmark input: one scene family per inlier rate.
+
+    Each trial's scene comes from :meth:`spec`; construction runs ``SceneSpec``'s
+    checks for every rate, so a bad recipe raises here, before any trial.
+    """
 
     image_bounds: tuple[float, float]
     n_total: int
@@ -62,8 +66,16 @@ class SceneSweep:
     angle_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for w in self.inlier_rates:  # before any rate sizes a scene
-            _check_inlier_rate(w)
+        for w in self.inlier_rates:
+            self.spec(Homography.identity(), w, 0)
+
+    def spec(self, truth: Homography, w: float, seed: int) -> SceneSpec:
+        """The recipe of one scene of this sweep at inlier rate ``w``."""
+        return SceneSpec(
+            truth=truth, image_bounds=self.image_bounds, n_total=self.n_total, inlier_rate=w,
+            pixel_noise_sigma=self.pixel_noise_sigma, scale_noise_sigma=self.scale_noise_sigma,
+            angle_noise_sigma=self.angle_noise_sigma, seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -145,18 +157,8 @@ def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, configs) -> list[Tria
     trial_seed = _seed_int(ss)
     truth_ss, scene_ss, *method_ss = ss.spawn(4)
     truth = random_scene_truth(np.random.default_rng(truth_ss), sweep.image_bounds)
-    spec = SceneSpec(
-        truth=truth,
-        image_bounds=sweep.image_bounds,
-        n_total=sweep.n_total,
-        inlier_rate=w,
-        pixel_noise_sigma=sweep.pixel_noise_sigma,
-        scale_noise_sigma=sweep.scale_noise_sigma,
-        angle_noise_sigma=sweep.angle_noise_sigma,
-        seed=_seed_int(scene_ss),
-    )
     try:
-        pool, mask = generate_scene(spec)
+        pool, mask = generate_scene(sweep.spec(truth, w, _seed_int(scene_ss)))
     except InfeasibleSpec:
         return [TrialRecord(m, float("nan"), False, math.inf, 0, 0.0, trial_seed) for m in methods]
     held_out = _held_out_pairs(truth, sweep.image_bounds)
@@ -245,7 +247,9 @@ def run_benchmark(
     """Run the benchmark on a :class:`SceneSweep` or :class:`LoadedCorrespondences`.
 
     Each method, named once, runs on a seed stream of its own, so its records
-    do not depend on the other methods or their order.
+    do not depend on the other methods or their order. A sweep's recipe was
+    checked when the sweep was built, and these arguments are checked before
+    any trial starts; an error raised inside a trial keeps its type.
 
     The single-correspondence method is skipped (with a note) at inlier rates
     where the expected true-inlier count c fails c / n_f >= w_f, since its

@@ -76,6 +76,26 @@ def _ransac_config(args) -> RansacConfig:
     )
 
 
+def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--width", type=float, default=640.0)
+    parser.add_argument("--height", type=float, default=480.0)
+    parser.add_argument("--pixel-noise", type=float, default=0.0, help="target noise sigma (px)")
+    parser.add_argument(
+        "--scale-noise", type=float, default=0.0, help="byproduct scale noise sigma (log units)"
+    )
+    parser.add_argument(
+        "--angle-noise", type=float, default=0.0, help="byproduct angle noise sigma (radians)"
+    )
+
+
+def _scene_fields(args) -> dict:
+    """The scene recipe fields that ``SceneSpec`` and ``SceneSweep`` share."""
+    return dict(
+        image_bounds=(args.width, args.height), pixel_noise_sigma=args.pixel_noise,
+        scale_noise_sigma=args.scale_noise, angle_noise_sigma=args.angle_noise,
+    )
+
+
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
         values = tuple(float(f) for f in text.split(","))
@@ -108,19 +128,9 @@ def _cmd_generate(args) -> int:
             raise ValueError(f"--truth expects 9 entries, got {len(entries)}")
         truth = Homography(np.array(entries).reshape(3, 3))
     else:
-        truth = random_scene_truth(
-            np.random.default_rng(truth_ss), (args.width, args.height)
-        )
-    spec = SceneSpec(
-        truth=truth,
-        image_bounds=(args.width, args.height),
-        n_total=args.n,
-        inlier_rate=args.w,
-        pixel_noise_sigma=args.pixel_noise,
-        scale_noise_sigma=args.scale_noise,
-        angle_noise_sigma=args.angle_noise,
-        seed=int(scene_ss.generate_state(1, np.uint64)[0]),
-    )
+        truth = random_scene_truth(np.random.default_rng(truth_ss), (args.width, args.height))
+    seed = int(scene_ss.generate_state(1, np.uint64)[0])
+    spec = SceneSpec(truth=truth, n_total=args.n, inlier_rate=args.w, seed=seed, **_scene_fields(args))
     pool, mask = generate_scene(spec)
     save_correspondences(args.output, pool, mask)
     return 0
@@ -134,12 +144,7 @@ def _cmd_bench(args) -> int:
         source = load_correspondences(args.input)
     else:
         source = SceneSweep(
-            image_bounds=(args.width, args.height),
-            n_total=args.n,
-            inlier_rates=_parse_float_list(args.w, "--w"),
-            pixel_noise_sigma=args.pixel_noise,
-            scale_noise_sigma=args.scale_noise,
-            angle_noise_sigma=args.angle_noise,
+            n_total=args.n, inlier_rates=_parse_float_list(args.w, "--w"), **_scene_fields(args)
         )
     result = run_benchmark(
         source,
@@ -217,15 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("output", help="destination file")
     p_gen.add_argument("--n", type=int, default=500, help="total correspondences")
     p_gen.add_argument("--w", type=float, default=0.1, help="inlier rate")
-    p_gen.add_argument("--width", type=float, default=640.0)
-    p_gen.add_argument("--height", type=float, default=480.0)
-    p_gen.add_argument("--pixel-noise", type=float, default=0.0, help="target noise sigma (px)")
-    p_gen.add_argument(
-        "--scale-noise", type=float, default=0.0, help="byproduct scale noise sigma (log units)"
-    )
-    p_gen.add_argument(
-        "--angle-noise", type=float, default=0.0, help="byproduct angle noise sigma (radians)"
-    )
+    _add_scene_flags(p_gen)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument(
         "--truth", help="9 comma-separated row-major entries; random when omitted"
@@ -237,11 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=100)
     p_bench.add_argument("--w", default="0.03,0.05,0.1,0.2,0.4", help="synthetic inlier rates")
     p_bench.add_argument("--n", type=int, default=500, help="synthetic pool size")
-    p_bench.add_argument("--width", type=float, default=640.0)
-    p_bench.add_argument("--height", type=float, default=480.0)
-    p_bench.add_argument("--pixel-noise", type=float, default=0.0)
-    p_bench.add_argument("--scale-noise", type=float, default=0.0)
-    p_bench.add_argument("--angle-noise", type=float, default=0.0)
+    _add_scene_flags(p_bench)
     p_bench.add_argument(
         "--workers", type=int, default=1,
         help="trial worker processes, at most one per trial and usable CPU; each has its own"

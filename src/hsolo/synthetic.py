@@ -37,11 +37,6 @@ def _check_bounds(image_bounds: tuple[float, float]) -> tuple[float, float]:
     return width, height
 
 
-def _check_inlier_rate(w: float) -> None:
-    if not 0.0 < w <= 1.0:  # NaN fails too
-        raise ValueError(f"inlier_rate must be in (0, 1], got {w}")
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     """Recipe for one synthetic scene.
@@ -65,7 +60,8 @@ class SceneSpec:
         _check_bounds(self.image_bounds)
         if self.n_total < 8:
             raise ValueError(f"n_total must be >= 8, got {self.n_total}")
-        _check_inlier_rate(self.inlier_rate)
+        if not 0.0 < self.inlier_rate <= 1.0:  # NaN fails too
+            raise ValueError(f"inlier_rate must be in (0, 1], got {self.inlier_rate}")
         for name in ("pixel_noise_sigma", "scale_noise_sigma", "angle_noise_sigma"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be >= 0")

@@ -17,6 +17,7 @@ from hsolo import (
     SceneSpec,
     SceneSweep,
     bench,
+    cli,
     generate_scene,
     load_correspondences,
     random_scene_truth,
@@ -24,6 +25,8 @@ from hsolo import (
     save_correspondences,
 )
 from hsolo.bench import _held_out_pairs, format_records, format_summary
+from hsolo.fileio import LoadedCorrespondences
+from hsolo.geometry import Pool
 
 
 FAST_HSOLO = HsoloConfig(max_outer_iterations=10_000, seed=0)
@@ -129,6 +132,25 @@ class TestSyntheticSweep:
             run_benchmark(sweep, ["magic"], 4, FAST_HSOLO, FAST_RANSAC)
         with pytest.raises(ValueError):
             run_benchmark(sweep, ["hsolo"], 0, FAST_HSOLO, FAST_RANSAC)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({name: bad}, f"{name} must be >= 0")
+            for name in ("pixel_noise_sigma", "scale_noise_sigma", "angle_noise_sigma")
+            for bad in (-1.0, math.nan, math.inf)
+        ]
+        + [({"n_total": 7}, "n_total must be >= 8, got 7")]
+        + [
+            ({"image_bounds": bounds}, f"image bounds must be positive, got {bounds}")
+            for bounds in ((0.0, 480.0), (640.0, math.inf), (math.nan, 480.0))
+        ],
+    )
+    def test_bad_recipe_fails_at_construction(self, kwargs, message):
+        fields = dict(image_bounds=(640.0, 480.0), n_total=100, inlier_rates=(0.2, 0.4))
+        with pytest.raises(ValueError) as caught:
+            SceneSweep(**{**fields, **kwargs})
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_worker_count_below_one_is_rejected(self, workers):
@@ -276,11 +298,19 @@ class TestWorkers:
         assert format_summary(res) == format_summary(serial)
 
     def test_trial_exception_keeps_its_type(self):
-        # SceneSweep checks only its rates; each trial's SceneSpec rejects the noise level
-        sweep = SceneSweep((640.0, 480.0), 100, (0.3, 0.4), pixel_noise_sigma=-1.0)
-        with pytest.raises(ValueError, match="pixel_noise_sigma must be >= 0") as caught:
-            run_benchmark(sweep, ["ransac"], 3, FAST_HSOLO, FAST_RANSAC, workers=2)
+        # hsolo_estimate rejects the 3-row pool inside each trial, on the worker processes
+        rows = [[100.0 + i, 120.0, 1.0, 0.1, 110.0 + i, 125.0, 1.0, 0.1] for i in range(3)]
+        loaded = LoadedCorrespondences(Pool(np.array(rows)), None, True)
+        with pytest.raises(ValueError, match="pool must hold >= 5 correspondences, got 3") as caught:
+            run_benchmark(loaded, ["hsolo"], 3, FAST_HSOLO, FAST_RANSAC, workers=2)
         assert type(caught.value) is ValueError
+
+    def test_bad_recipe_fails_before_any_worker_starts(self, recorder, capsys):
+        argv = ["bench", "--pixel-noise", "-1", "--workers", "2", "--trials", "2",
+                "--n", "100", "--w", "0.2"]
+        assert cli.main(argv) == 2
+        assert recorder == []
+        assert capsys.readouterr().err == "error: pixel_noise_sigma must be >= 0\n"
 
     def test_import_leaves_out_the_process_machinery(self):
         src = str(Path(hsolo.__file__).resolve().parents[1])

@@ -8,6 +8,7 @@ The covariance tests (moving both images) run on fixed-seed scenes.
 
 import contextlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,6 +25,7 @@ from hsolo import (
     NoModelFound,
     RansacConfig,
     SceneSpec,
+    SceneSweep,
     generate_scene,
     hsolo_estimate,
     load_correspondences,
@@ -191,6 +193,37 @@ def test_a_file_that_loads_never_ends_in_a_traceback(rows, flags):
     assert codes["ransac"] in ((0, 1) if len(rows) >= 4 else (2,))
     assert codes["hsolo"] in ((0, 1) if byproducts and len(rows) >= 5 else (2,))
     assert codes["calibrate"] in (0, 2)
+
+
+def _value_error(build):
+    """The message of the ``ValueError`` that ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+bound = st.floats(1.0, 4000.0) | st.sampled_from([0.0, -1.0, math.nan, math.inf])
+rate = st.floats(0.0, 1.0) | st.sampled_from([-0.1, 1.5, math.nan])
+sigma = st.floats(0.0, 5.0) | st.sampled_from([-1.0, math.nan, math.inf])
+
+
+@FAST
+@given(
+    bounds=st.tuples(bound, bound),
+    n_total=st.integers(0, 20),
+    rates=st.lists(rate, max_size=3),
+    sigmas=st.tuples(sigma, sigma, sigma),
+)
+def test_a_sweep_rejects_exactly_the_recipes_its_scenes_reject(bounds, n_total, rates, sigmas):
+    noise = dict(zip(("pixel_noise_sigma", "scale_noise_sigma", "angle_noise_sigma"), sigmas))
+    scene_errors = [
+        _value_error(lambda: SceneSpec(Homography.identity(), bounds, n_total, w, **noise))
+        for w in rates
+    ]
+    expected = next((e for e in scene_errors if e is not None), None)
+    assert _value_error(lambda: SceneSweep(bounds, n_total, tuple(rates), **noise)) == expected
 
 
 _BOUNDS = (640.0, 480.0)

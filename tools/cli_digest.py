@@ -4,8 +4,9 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 53 ``python -m hsolo`` commands, in order, in a fresh temporary
-directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``.
+Runs 59 ``python -m hsolo`` commands, in order, in a fresh temporary
+directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``
+and ``COLUMNS=80``, so help text wraps the same in any terminal.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
 the files it wrote or changed, then the command. Input files come from the
 ``generate`` commands and from files this script writes: header-only,
@@ -80,8 +81,14 @@ COMMANDS = [
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
     "bench --trials 1 --n 100 --w nan",
     "bench --workers 0 --trials 1 --n 100 --w 0.2",
+    "bench --pixel-noise -1 --workers 2 --trials 2 --n 100 --w 0.2",
+    "bench --n 5 --trials 1 --w 0.2",
+    "bench --width 0 --trials 1 --n 100 --w 0.2",
+    "bench --angle-noise nan --trials 1 --n 100 --w 0.2 --workers 2",
     "theory",
     "theory --w 0.01,0.1 --n-values 4,7",
+    "generate --help",
+    "bench --help",
 ]
 FIRST_SOLVE = "solve a.csv"
 
@@ -123,6 +130,7 @@ def main(argv: list[str]) -> int:
         return 2
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_inputs(work)
