@@ -76,16 +76,22 @@ def _ransac_config(args) -> RansacConfig:
     )
 
 
+class _SceneFlag(argparse.Action):
+    """Stores a synthetic-scene flag's value and notes the flag in ``scene_flags``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.scene_flags += (self.option_strings[0],)
+
+
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--width", type=float, default=640.0)
-    parser.add_argument("--height", type=float, default=480.0)
-    parser.add_argument("--pixel-noise", type=float, default=0.0, help="target noise sigma (px)")
-    parser.add_argument(
-        "--scale-noise", type=float, default=0.0, help="byproduct scale noise sigma (log units)"
-    )
-    parser.add_argument(
-        "--angle-noise", type=float, default=0.0, help="byproduct angle noise sigma (radians)"
-    )
+    parser.set_defaults(scene_flags=())
+    flag = dict(type=float, action=_SceneFlag)
+    parser.add_argument("--width", default=640.0, **flag)
+    parser.add_argument("--height", default=480.0, **flag)
+    parser.add_argument("--pixel-noise", default=0.0, help="target noise sigma (px)", **flag)
+    parser.add_argument("--scale-noise", default=0.0, help="byproduct scale noise sigma (log units)", **flag)
+    parser.add_argument("--angle-noise", default=0.0, help="byproduct angle noise sigma (radians)", **flag)
 
 
 def _scene_fields(args) -> dict:
@@ -110,7 +116,8 @@ def _cmd_solve(args) -> int:
     loaded = load_correspondences(args.input)
     seeded = args.method == "hsolo"
     pool = loaded.byproduct_pool() if seeded else loaded.correspondences
-    config = _hsolo_config(args) if seeded else _ransac_config(args)
+    h_cfg = _hsolo_config(args)  # for either method: it checks every estimator flag, as in bench
+    config = h_cfg if seeded else _ransac_config(args)
     result = hsolo_estimate(pool, config) if seeded else ransac_homography(pool, pool, None, config)
     if args.output:
         save_result(args.output, result, config, include_timing=args.timing)
@@ -141,6 +148,8 @@ def _cmd_bench(args) -> int:
     h_cfg = _hsolo_config(args)
     r_cfg = _ransac_config(args)
     if args.input:
+        if args.scene_flags:
+            raise ValueError(f"{args.scene_flags[0]} sets synthetic scenes; it does not apply to --input")
         source = load_correspondences(args.input)
     else:
         source = SceneSweep(
@@ -232,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--input", help="correspondence file; synthetic scenes when omitted")
     p_bench.add_argument("--methods", default="hsolo,ransac", help="comma-separated subset")
     p_bench.add_argument("--trials", type=int, default=100)
-    p_bench.add_argument("--w", default="0.03,0.05,0.1,0.2,0.4", help="synthetic inlier rates")
-    p_bench.add_argument("--n", type=int, default=500, help="synthetic pool size")
+    p_bench.add_argument(
+        "--w", default="0.03,0.05,0.1,0.2,0.4", help="synthetic inlier rates", action=_SceneFlag
+    )
+    p_bench.add_argument("--n", type=int, default=500, help="synthetic pool size", action=_SceneFlag)
     _add_scene_flags(p_bench)
     p_bench.add_argument(
         "--workers", type=int, default=1,

@@ -7,10 +7,11 @@ the best-ranked subset can recover the full model in a handful of draws. The
 outer loop walks seed correspondences of a shuffled pool, uses the median
 filtered error as a cheap gate to skip hopeless seeds, and adapts its
 iteration budget as support improves. Seeds are evaluated in blocks (sketches,
-pool errors and gate medians for many seeds in one array pass), then replayed
-in order, so the budget and results are those of a one-at-a-time loop. The
-winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt) pass
-over its inliers. Pools are taken as a :class:`~hsolo.geometry.Pool` or as a
+gate medians and the filtered sets of passing seeds, from one ranking per
+seed, for many seeds in one array pass), then replayed in order, so the
+budget and results are those of a one-at-a-time loop. The winning model is
+polished by a damped Gauss-Newton (Levenberg-Marquardt) pass over its
+inliers. Pools are taken as a :class:`~hsolo.geometry.Pool` or as a
 sequence of correspondences, converted once by ``as_pool``.
 """
 
@@ -76,19 +77,6 @@ class HsoloConfig:
             raise ValueError("max_outer_iterations must be >= 1")
 
 
-@dataclass(frozen=True, eq=False)
-class FilteredSet:
-    """The pool entries ranked best by a candidate model.
-
-    ``indices`` point into the pool the filter ran on; ``errors`` are their
-    reprojection errors in ascending order (ties broken by index).
-    """
-
-    indices: np.ndarray
-    errors: np.ndarray
-    median_error: float
-
-
 # Seed blocks start small, because an early improvement can cut the outer
 # budget to a few seeds, and double up to the row count that keeps each
 # (rows, n) float64 temporary within this many elements (512 KB); larger
@@ -114,18 +102,6 @@ def _median_of_smallest(part: np.ndarray, take: int) -> np.ndarray:
     return (part[..., lo] + part[..., hi]) / 2.0
 
 
-def _filtered_from_errors(errors: np.ndarray, n_f: int) -> FilteredSet:
-    errors = np.where(np.isnan(errors), np.inf, errors)
-    take = min(n_f, errors.shape[0])
-    # every entry tied with the take-th smallest is a candidate; flatnonzero
-    # lists them by index and the stable sort keeps that order among ties
-    kth = np.partition(errors, take - 1)[take - 1]
-    cand = np.flatnonzero(errors <= kth)
-    idx = cand[np.argsort(errors[cand], kind="stable")[:take]]
-    errs = errors[idx]
-    return FilteredSet(indices=idx, errors=errs, median_error=float(_median_of_smallest(errs, take)))
-
-
 def _gate_threshold(epsilon_r: float) -> float:
     """A bound on squared distances that every error ``<= epsilon_r`` keeps.
 
@@ -146,24 +122,27 @@ def _gate_threshold(epsilon_r: float) -> float:
 
 def _seed_block(
     seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool errors under each seed's similarity sketch, and each seed's gate median.
+) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Each seed's gate median and, for a seed that passes the gate, its filtered set.
 
-    Returns ``(errors, medians)``. Row i of ``errors`` holds the error of
-    every ``src -> dst`` pair under the sketch of ``seeds[i]``, bit for bit
-    what ``transfer_errors(single_match_homography(seeds[i]).m, src, dst)``
-    gives, except that NaN becomes +inf. ``medians[i]`` is the median of the
-    row's min(n_f, n) smallest errors. A seed whose sketch fails
+    Returns ``(medians, filtered)``. A seed's errors are those of every
+    ``src -> dst`` pair under the sketch of ``seeds[i]``, bit for bit what
+    ``transfer_errors(single_match_homography(seeds[i]).m, src, dst)`` gives,
+    except that NaN becomes +inf. ``medians[i]`` is the median of the
+    min(n_f, n) smallest of them. A seed whose sketch fails
     :func:`~hsolo.geometry.valid_homography` (non-finite or singular) gets
-    +inf throughout, so it fails every finite gate instead of raising.
+    +inf errors throughout, so it fails every finite gate instead of raising.
 
-    Without ``epsilon_r`` every row is exact. With it, the gate
-    ``median <= epsilon_r`` is first decided by a count: the median is at
-    least the row's value of rank (take - 1) // 2 (it is that value for odd
-    take), so a row can pass only if more than (take - 1) // 2 of its
-    squared distances lie within :func:`_gate_threshold`. Only rows that
-    can pass get exact errors and a median; the rest report +inf errors and
-    a +inf median, so every seed passes or fails as in the exact call.
+    Without ``epsilon_r`` every median is exact and ``filtered`` is all None.
+    With it, ``filtered[i]`` holds the indices of the min(n_f, n) smallest
+    errors, ordered by error and then by index, for each seed with
+    ``medians[i] <= epsilon_r``, and None for the others. The gate is first
+    decided by a count: the median is at least the row's value of rank
+    (take - 1) // 2 (it is that value for odd take), so a row can pass only
+    if more than (take - 1) // 2 of its squared distances lie within
+    :func:`_gate_threshold`. Only rows that can pass get exact errors and a
+    median; the rest report a +inf median, so every seed passes or fails as
+    in the exact call.
     """
     u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
     # math.cos and math.sin, as single_match_homography takes them, because
@@ -181,29 +160,38 @@ def _seed_block(
     # one (rows, 1) column per entry against the pool's points; w is exactly 1
     top = [[np.where(ok, e, 0.0)[:, None] for e in row] for row in sketch[:2]]
     u, v, tx, ty = np.array((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
-    dx, dy, errors = np.empty((3, len(seeds), len(u)))
+    dx, dy, d2 = np.empty((3, len(seeds), len(u)))
     apply_homogeneous((*top, sketch[2]), u, v, out=(dx, dy))
     dx -= tx
     dy -= ty
     take = min(n_f, len(u))
-    exact = slice(None)
-    threshold = math.inf if epsilon_r is None else _gate_threshold(epsilon_r)
-    if threshold < math.inf:
-        # errors holds the squared distances until the exact rows are known;
-        # a singular sketch's row is +inf and fails every finite gate
-        with np.errstate(over="ignore"):
-            d2 = np.multiply(dx, dx, out=errors)
-            d2 += dy * dy
-        exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
-        errors.fill(np.inf)
-    exact_errors = np.hypot(dx[exact], dy[exact])
-    exact_errors[~ok[exact]] = np.inf
-    exact_errors[np.isnan(exact_errors)] = np.inf
-    errors[exact] = exact_errors
-    ranks = sorted({(take - 1) // 2, take // 2})
+    ranks = {(take - 1) // 2, take // 2}
+    exact = slice(None) if epsilon_r is None else np.arange(len(seeds))
+    if epsilon_r is not None:
+        # the filtered sets cut their candidates at the value of rank take - 1
+        ranks.add(take - 1)
+        threshold = _gate_threshold(epsilon_r)
+        if threshold < math.inf:
+            # a singular sketch's row is left out: its +inf median fails
+            # every finite gate
+            with np.errstate(over="ignore"):
+                np.multiply(dx, dx, out=d2)
+                d2 += dy * dy
+            exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
+    errors = np.hypot(dx[exact], dy[exact])
+    errors[~ok[exact]] = np.inf
+    errors[np.isnan(errors)] = np.inf
+    part = np.partition(errors, sorted(ranks), axis=1)
     medians = np.full(len(seeds), np.inf)
-    medians[exact] = _median_of_smallest(np.partition(exact_errors, ranks, axis=1), take)
-    return errors, medians
+    medians[exact] = _median_of_smallest(part, take)
+    filtered = [None] * len(seeds)
+    if epsilon_r is not None:
+        # every entry tied with the take-th smallest is a candidate; flatnonzero
+        # lists them by index and the stable sort keeps that order among ties
+        for r in np.flatnonzero(medians[exact] <= epsilon_r).tolist():
+            cand = np.flatnonzero(errors[r] <= part[r, take - 1])
+            filtered[exact[r]] = cand[np.argsort(errors[r, cand], kind="stable")[:take]]
+    return medians, filtered
 
 
 def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
@@ -220,7 +208,7 @@ def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
     seeds = as_pool(seeds)
     src, dst = pool_arrays(pool)
     rows = _max_seed_block(len(pool))
-    medians = [_seed_block(seeds[i : i + rows], src, dst, n_f)[1] for i in range(0, len(seeds), rows)]
+    medians = [_seed_block(seeds[i : i + rows], src, dst, n_f)[0] for i in range(0, len(seeds), rows)]
     return np.concatenate(medians) if medians else np.empty(0)
 
 
@@ -370,9 +358,10 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     Sketches and gate medians are computed for a block of upcoming seeds at
     once (16 seeds at first, doubling up to a fixed element budget), with
     exact pool errors only for the seeds that a count of nearby points shows
-    can pass; then the block is replayed seed by seed, so budget updates,
-    random draws and results are exactly those of evaluating one seed at a
-    time. A seed whose byproducts give a non-finite or singular sketch fails
+    can pass, and each passing seed's filtered set taken from the same
+    partition as its median; then the block is replayed seed by seed, so
+    budget updates, random draws and results are exactly those of evaluating
+    one seed at a time. A seed whose byproducts give a non-finite or singular sketch fails
     the gate.
 
     Raises :class:`NoModelFound` when no seed passes the gate or no inner
@@ -403,8 +392,7 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     while it < min(k, n):
         lo, hi = it, min(k, n, it + rows)
         rows = min(2 * rows, max_rows)
-        errors, medians = _seed_block(shuffled[lo:hi], src, dst, config.n_f, config.epsilon_r)
-        passed = medians <= config.epsilon_r
+        _, filtered = _seed_block(shuffled[lo:hi], src, dst, config.n_f, config.epsilon_r)
         # every seed walked draws its inner seed, the same stream as one draw
         # per seed; only the last block draws seeds it does not walk
         inner_seeds = rng.integers(0, 2**63, size=hi - lo).tolist()
@@ -415,12 +403,11 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
                 break
             inner_seed = inner_seeds[j]
             it += 1
-            if not passed[j]:
+            if filtered[j] is None:
                 continue
-            fs = _filtered_from_errors(errors[j], config.n_f)
             inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seed)
             try:
-                inner = ransac_homography(shuffled[fs.indices], shuffled, config.w_f, inner_config)
+                inner = ransac_homography(shuffled[filtered[j]], shuffled, config.w_f, inner_config)
             except NoModelFound:
                 continue
             if inner.support > best_support:

@@ -63,12 +63,13 @@ def required_iterations(w: float, n: int, p: float, max_iterations: int = DEFAUL
 class RansacConfig:
     """Parameters of a RANSAC run.
 
-    ``sample_size`` must be 4 (the closed-form minimal solver); result documents echo it.
+    ``sample_size`` is fixed at 4, the closed-form minimal solver's; result
+    documents echo it.
     """
 
     epsilon: float = 4.0
     p: float = 0.95
-    sample_size: int = 4
+    sample_size: int = field(default=4, init=False)
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     seed: int = 0
 
@@ -77,8 +78,6 @@ class RansacConfig:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
         if not self.epsilon > 0.0:  # NaN fails too
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.sample_size != 4:
-            raise ValueError(f"sample_size must be 4 (the minimal solver), got {self.sample_size}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -1,13 +1,15 @@
 """Shared helpers for building exact correspondence pools with known truth."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
-from hsolo import AffineFeature, Correspondence, Homography, Point2, project
-from hsolo.estimator import FilteredSet, _filtered_from_errors
-from hsolo.geometry import pool_arrays, transfer_errors
+from hsolo import AffineFeature, Correspondence, Homography, Point2, SingularMatrix, project
+from hsolo.estimator import _seed_block
+from hsolo.geometry import Pool, pool_arrays, transfer_errors
+from hsolo.solvers import single_match_homography
 from hsolo.synthetic import jacobian_byproducts
 
 
@@ -32,20 +34,69 @@ def make_byproduct_correspondence(
     )
 
 
-def filter_by_model(h_prime: Homography, pool, n_f: int) -> FilteredSet:
-    """Select the min(n_f, len(pool)) correspondences with lowest error under h_prime.
+def _reference_filter(errors: np.ndarray, n_f: int):
+    """Heap oracle: indices, errors and median of the min(n_f, n) smallest errors, ties by index."""
+    take = min(n_f, errors.shape[0])
+    pairs = heapq.nsmallest(take, zip(errors.tolist(), range(errors.shape[0])))
+    idx = np.fromiter((i for _, i in pairs), dtype=np.intp, count=take)
+    errs = np.fromiter((e for e, _ in pairs), dtype=np.float64, count=take)
+    return idx, errs, float(np.median(errs))
 
-    The estimator's filter kernel on one model's transfer errors. Selection is
-    exact: ties in error are broken by pool index, and correspondences whose
-    source projects to infinity (+inf error) or whose error is NaN rank last,
-    NaN counting as +inf.
+
+def filter_by_model(h_prime: Homography, pool, n_f: int):
+    """Indices, errors and median of the min(n_f, len(pool)) correspondences with lowest error under h_prime.
+
+    The heap oracle on one model's transfer errors. Selection is exact: ties
+    in error are broken by pool index, and correspondences whose source
+    projects to infinity (+inf error) or whose error is NaN rank last, NaN
+    counting as +inf.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
     src, dst = pool_arrays(pool)
-    return _filtered_from_errors(transfer_errors(h_prime.m, src, dst), n_f)
+    errors = transfer_errors(h_prime.m, src, dst)
+    errors[np.isnan(errors)] = np.inf
+    return _reference_filter(errors, n_f)
+
+
+def scalar_seed_errors(seed: Correspondence, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """A seed's pool errors on the one-seed path, NaN counting as +inf.
+
+    ``transfer_errors`` under ``single_match_homography(seed)``; all +inf
+    when the seed gives no usable sketch, as the estimator treats it.
+    """
+    try:
+        m = single_match_homography(seed).m
+    except (SingularMatrix, ValueError):
+        return np.full(src.shape[0], np.inf)
+    errors = transfer_errors(m, src, dst)
+    errors[np.isnan(errors)] = np.inf
+    return errors
+
+
+IDENTITY_SEED = Pool([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+
+
+def identity_targets(offsets):
+    """Sources at the origin and targets at the given (a, b) offsets.
+
+    Under the identity sketch of ``IDENTITY_SEED`` the error of offset
+    (a, b) is ``np.hypot(a, b)``.
+    """
+    return np.zeros((len(offsets), 2)), np.array(offsets, dtype=float).reshape(-1, 2)
+
+
+def kernel_filter(errors, n_f: int):
+    """The estimator's filtered indices and gate median of one row of errors.
+
+    Drives the row through ``_seed_block`` as the identity sketch's errors
+    against targets at offsets (0, e), with a gate that every row passes.
+    """
+    src, dst = identity_targets([(0.0, e) for e in np.asarray(errors, dtype=float).tolist()])
+    medians, filtered = _seed_block(IDENTITY_SEED, src, dst, n_f, math.inf)
+    return filtered[0], float(medians[0])
 
 
 def exact_pool(truth: Homography, points) -> list:

@@ -37,10 +37,10 @@ from hsolo import (
 )
 from hsolo.analysis import dbscan_1d
 from hsolo.bench import _held_out_pairs
-from hsolo.estimator import _filtered_from_errors, _residuals_and_jacobian
+from hsolo.estimator import _residuals_and_jacobian
 from hsolo.geometry import pool_arrays, transfer_errors
 
-from conftest import exact_pool, filter_by_model, random_truth
+from conftest import exact_pool, filter_by_model, kernel_filter, random_truth
 from test_analysis import brute_force_dbscan, cluster_partition
 from test_estimator import sorted_filter_oracle
 from test_solvers import random_feature
@@ -126,8 +126,8 @@ def test_filtered_sets_from_inlier_seeds_are_enriched():
         pool, mask = generate_scene(spec)
         inlier_idx = np.flatnonzero(mask)
         seed_corr = pool[int(inlier_idx[rng.integers(len(inlier_idx))])]
-        fs = filter_by_model(single_match_homography(seed_corr), pool, 21)
-        frac = float(mask[fs.indices].mean())
+        idx, _, _ = filter_by_model(single_match_homography(seed_corr), pool, 21)
+        frac = float(mask[idx].mean())
         fractions.append(frac)
         if frac >= 0.7:
             hits += 1
@@ -334,10 +334,10 @@ def test_oracle_equivalences():
     for _ in range(10_000):
         errors = np.round(rng.uniform(0, 10, size=rng.integers(5, 60)), 1)
         n_f = int(rng.integers(5, 30))
-        fs = _filtered_from_errors(errors, n_f)
+        idx, median = kernel_filter(errors, n_f)
         want_idx, want_err = sorted_filter_oracle(errors, n_f)
-        assert fs.indices.tolist() == want_idx
-        assert fs.errors.tolist() == want_err
+        assert idx.tolist() == want_idx
+        assert median == float(np.median(want_err))
 
     for _ in range(1000):
         n = int(rng.integers(1, 50))

@@ -142,6 +142,25 @@ class TestSolve:
         assert main(["solve", str(scene_file), "--method", method, flag, "nan"]) == 2
         assert f"{name} must be > 0, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--nf", "3"], "n_f must be >= 5, got 3"),
+            (["--wf", "7"], "w_f must be in (0, 1), got 7.0"),
+            (["--epsilon-r", "-1"], "epsilon_r must be > 0, got -1.0"),
+            (["--inlier-scaling", "9"], "inlier_scaling must be in (0, 1], got 9.0"),
+        ],
+    )
+    def test_ransac_checks_the_hsolo_flags_as_bench_does(self, scene_file, capsys, flags, message):
+        # solve --method ransac used to ignore these and exit 0
+        assert main(["solve", str(scene_file), "--method", "ransac", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        argv = ["bench", "--input", str(scene_file), "--methods", "ransac", "--trials", "1", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.csv")]) == 2
 
@@ -349,6 +368,20 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: workers must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--w", "nan"), ("--n", "500"), ("--width", "0"), ("--height", "480"), ("--pixel-noise", "-1"),
+         ("--scale-noise", "0.1"), ("--angle-noise", "0")],
+    )
+    def test_file_input_rejects_synthetic_scene_flags(self, scene_file, capsys, flag, value):
+        # they used to be ignored, exiting 0, even at values a synthetic sweep rejects
+        argv = ["bench", "--input", str(scene_file), "--methods", "ransac", "--trials", "2",
+                "--max-iterations", "200", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} sets synthetic scenes; it does not apply to --input\n"
 
     def test_unknown_method_fails(self, capsys):
         assert main(["bench", "--w", "0.4", "--methods", "sorcery", "--trials", "1"]) == 2

@@ -23,13 +23,14 @@ from hsolo import (
     refine_model,
     reprojection_error,
 )
-from hsolo.estimator import _filtered_from_errors, _residuals_and_jacobian
+from hsolo.estimator import _residuals_and_jacobian
 from hsolo.geometry import pool_arrays, transfer_errors
 from hsolo.synthetic import SceneSpec, generate_scene, jacobian_byproducts, random_scene_truth
 
 from conftest import (
     exact_pool,
     filter_by_model,
+    kernel_filter,
     make_byproduct_correspondence,
     random_points,
     random_truth,
@@ -81,15 +82,15 @@ class TestFilterByModel:
                     AffineFeature(Point2(q.u + 50.0, q.v + 50.0), 1.0, 0.0),
                 )
             )
-        fs = filter_by_model(truth, pool, 5)
-        assert sorted(fs.indices.tolist()) == [0, 1, 2, 3, 4]
-        assert fs.median_error == 0.0
+        idx, _, median = filter_by_model(truth, pool, 5)
+        assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
+        assert median == 0.0
 
     def test_keeps_whole_pool_when_small(self, rng):
         truth = random_truth(rng)
         pool = exact_pool(truth, random_points(rng, 6))
-        fs = filter_by_model(truth, pool, 21)
-        assert len(fs.indices) == 6
+        idx, _, _ = filter_by_model(truth, pool, 21)
+        assert len(idx) == 6
 
     def test_ties_broken_by_lower_index(self):
         c = Correspondence(
@@ -97,22 +98,21 @@ class TestFilterByModel:
             AffineFeature(Point2(14.0, 10.0), 1.0, 0.0),
         )
         pool = [c, c, c, c, c, c]
-        fs = filter_by_model(Homography.identity(), pool, 3)
-        assert fs.indices.tolist() == [0, 1, 2]
+        idx, _, _ = filter_by_model(Homography.identity(), pool, 3)
+        assert idx.tolist() == [0, 1, 2]
 
     def test_agrees_with_full_sort_oracle(self, rng):
         for _ in range(300):
             errors = np.round(rng.uniform(0, 10, size=rng.integers(5, 40)), 1)
             n_f = int(rng.integers(5, 25))
-            fs = _filtered_from_errors(errors, n_f)
+            idx, median = kernel_filter(errors, n_f)
             want_idx, want_err = sorted_filter_oracle(errors, n_f)
-            assert fs.indices.tolist() == want_idx
-            np.testing.assert_array_equal(fs.errors, want_err)
+            assert idx.tolist() == want_idx
+            assert median == float(np.median(want_err))
 
     def test_median_of_even_count_averages_middle_pair(self):
         errors = np.array([4.0, 1.0, 3.0, 2.0, 9.0, 9.0])
-        fs = _filtered_from_errors(errors, 4)
-        assert fs.median_error == (2.0 + 3.0) / 2
+        assert kernel_filter(errors, 4)[1] == (2.0 + 3.0) / 2
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -130,8 +130,8 @@ class TestFilterByModel:
             pool.append(
                 Correspondence(AffineFeature(p, 1.0, 0.0), AffineFeature(project(h, p), 1.0, 0.0))
             )
-        fs = filter_by_model(h, pool, 2)
-        assert 0 not in fs.indices.tolist()
+        idx, _, _ = filter_by_model(h, pool, 2)
+        assert 0 not in idx.tolist()
 
 
 class TestEstimateEpsilonR:
@@ -377,9 +377,9 @@ class TestHsoloEstimate:
 
         for i in outlier_idx[:50]:
             h_prime = single_match_homography(pool[int(i)])
-            fs = filter_by_model(h_prime, pool, 21)
+            _, _, median = filter_by_model(h_prime, pool, 21)
             checked += 1
-            if not fs.median_error <= 20.0:
+            if not median <= 20.0:
                 rejected += 1
         assert rejected / checked > 0.5
 
@@ -393,7 +393,7 @@ class TestHsoloEstimate:
             i = int(inlier_idx[seed_rng.integers(len(inlier_idx))])
             from hsolo.solvers import single_match_homography
 
-            fs = filter_by_model(single_match_homography(pool[i]), pool, 21)
-            if mask[fs.indices].mean() >= 0.7:
+            idx, _, _ = filter_by_model(single_match_homography(pool[i]), pool, 21)
+            if mask[idx].mean() >= 0.7:
                 hits += 1
         assert hits / 60 >= 0.8

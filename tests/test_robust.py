@@ -109,9 +109,9 @@ class TestRansacConfig:
             RansacConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             RansacConfig(p=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RansacConfig(sample_size=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RansacConfig(sample_size=5)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)

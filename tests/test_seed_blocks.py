@@ -1,12 +1,12 @@
 """Block seed evaluation against the one-seed-at-a-time reference loop.
 
-``hsolo_estimate`` computes sketches, pool errors and gate medians for a block
-of seeds at once and then replays the block in order. The reference below is
+``hsolo_estimate`` computes sketches, gate medians and the filtered sets of
+passing seeds for a block of seeds at once and then replays the block in
+order. The reference below is
 the per-seed loop it replaced, kept verbatim apart from names: the two must
 agree bit for bit on every field of the result, history included.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -24,20 +24,21 @@ from hsolo import (
     hsolo_estimate,
     refine_model,
 )
-from hsolo.estimator import _filtered_from_errors, _seed_block, seed_medians
+from hsolo.estimator import _seed_block, seed_medians
 from hsolo.geometry import Pool, as_pool, pool_arrays, transfer_errors
 from hsolo.robust import EstimationResult, Improvement, RansacConfig, ransac_homography, required_iterations
 from hsolo.solvers import single_match_homography
 
-from conftest import make_byproduct_correspondence, random_points, random_truth
-
-
-def _reference_filter(errors: np.ndarray, n_f: int):
-    take = min(n_f, errors.shape[0])
-    pairs = heapq.nsmallest(take, zip(errors.tolist(), range(errors.shape[0])))
-    idx = np.fromiter((i for _, i in pairs), dtype=np.intp, count=take)
-    errs = np.fromiter((e for e, _ in pairs), dtype=np.float64, count=take)
-    return idx, errs, float(np.median(errs))
+from conftest import (
+    IDENTITY_SEED,
+    _reference_filter,
+    identity_targets,
+    kernel_filter,
+    make_byproduct_correspondence,
+    random_points,
+    random_truth,
+    scalar_seed_errors,
+)
 
 
 def reference_hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
@@ -65,9 +66,7 @@ def reference_hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
         idx, _, median = _reference_filter(transfer_errors(h_prime.m, src, dst), config.n_f)
         if not median <= config.epsilon_r:
             continue
-        inner_config = RansacConfig(
-            epsilon=config.epsilon, p=config.p, sample_size=4, seed=inner_seed
-        )
+        inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seed)
         try:
             inner = ransac_homography([shuffled[j] for j in idx], shuffled, config.w_f, inner_config)
         except NoModelFound:
@@ -159,12 +158,10 @@ def test_block_loop_matches_reference_bit_for_bit(n, w):
 def test_seed_block_errors_and_medians_match_scalar_path():
     pool = noisy_pool(200, 0.2, 7, duplicated=True)
     src, dst = pool_arrays(pool)
-    errors, medians = _seed_block(as_pool(pool), src, dst, 20)
-    for i, c in enumerate(pool):
-        want = transfer_errors(single_match_homography(c).m, src, dst)
-        assert errors[i].tobytes() == want.tobytes()
-        assert medians[i] == _reference_filter(want, 20)[2]
-    np.testing.assert_array_equal(seed_medians(pool, pool, 20), medians)
+    for epsilon_r in GATE_EPSILONS:
+        _check_gated_block(as_pool(pool), src, dst, 20, epsilon_r)
+    want = [_reference_filter(scalar_seed_errors(c, src, dst), 20)[2] for c in pool]
+    np.testing.assert_array_equal(seed_medians(pool, pool, 20), want)
 
 
 def test_seed_block_follows_homography_at_its_limits():
@@ -186,21 +183,16 @@ def test_seed_block_follows_homography_at_its_limits():
     ]
     pool = noisy_pool(50, 0.2, 9)
     src, dst = pool_arrays(pool)
-    with np.errstate(over="ignore"):  # Homography's norm of the 1e200 sketch
-        errors, medians = _seed_block(as_pool(seeds), src, dst, 21)
     usable = 0
-    for i, c in enumerate(seeds):
-        try:
-            with np.errstate(over="ignore"):
-                m = single_match_homography(c).m
-        except (SingularMatrix, ValueError):
-            assert np.isposinf(errors[i]).all() and medians[i] == math.inf
-            continue
-        usable += 1
-        want = transfer_errors(m, src, dst)
-        want[np.isnan(want)] = np.inf
-        assert errors[i].tobytes() == want.tobytes()
-        assert medians[i] == _reference_filter(want, 21)[2]
+    with np.errstate(over="ignore"):  # Homography's norm of the 1e200 sketch
+        for epsilon_r in GATE_EPSILONS:
+            _check_gated_block(as_pool(seeds), src, dst, 21, epsilon_r)
+        for c in seeds:
+            try:
+                single_match_homography(c)
+            except (SingularMatrix, ValueError):
+                continue
+            usable += 1
     assert 0 < usable < len(seeds)
 
 
@@ -210,45 +202,51 @@ def test_filter_matches_heap_reference_with_ties_and_infinities():
         errors = np.round(rng.uniform(0, 5, size=rng.integers(1, 50)), 0)
         errors[rng.random(errors.shape[0]) < 0.2] = np.inf
         n_f = int(rng.integers(1, 30))
-        idx, errs, median = _reference_filter(errors, n_f)
-        fs = _filtered_from_errors(errors, n_f)
-        assert fs.indices.tolist() == idx.tolist()
-        assert fs.errors.tobytes() == errs.tobytes()
-        assert fs.median_error == median
+        idx, _, median = _reference_filter(errors, n_f)
+        got_idx, got_median = kernel_filter(errors, n_f)
+        assert got_idx.tolist() == idx.tolist()
+        assert got_median == median
 
 
 def test_nan_errors_rank_last_like_infinity():
-    fs = _filtered_from_errors(np.array([np.nan, 1.0, np.inf, 0.5, np.nan]), 4)
-    assert fs.indices.tolist() == [3, 1, 0, 2]
-    assert fs.errors.tolist() == [0.5, 1.0, math.inf, math.inf]
-    assert fs.median_error == math.inf
+    idx, median = kernel_filter([np.nan, 1.0, np.inf, 0.5, np.nan], 4)
+    assert idx.tolist() == [3, 1, 0, 2]
+    assert median == math.inf
 
 
 # --- the gate decided by a count ---------------------------------------------
 #
 # With epsilon_r, _seed_block computes exact errors only for rows whose count
 # of squared distances within the widened threshold exceeds (take - 1) // 2.
-# Every seed must pass or fail as in the ungated call, a passing seed must get
-# the same error row and median, and a row that cannot pass must be +inf.
+# Every seed must pass or fail as on the one-seed path, a passing seed must
+# get that path's filtered set and median, and a row that cannot pass must
+# report +inf.
 
 GATE_EPSILONS = (1e-300, 1e-160, 20.0, 1e160, math.inf)
 
 
 def _check_gated_block(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> None:
-    exact_errors, exact_medians = _seed_block(seeds, src, dst, n_f)
-    errors, medians = _seed_block(seeds, src, dst, n_f, epsilon_r)
+    errors = [scalar_seed_errors(c, src, dst) for c in seeds]
+    want = [_reference_filter(e, n_f) for e in errors]
+    want_medians = np.array([median for _, _, median in want])
+    exact_medians, exact_filtered = _seed_block(seeds, src, dst, n_f)
+    assert exact_medians.tobytes() == want_medians.tobytes()
+    assert exact_filtered == [None] * len(seeds)
+    medians, filtered = _seed_block(seeds, src, dst, n_f, epsilon_r)
     passed = medians <= epsilon_r
-    assert passed.tolist() == (exact_medians <= epsilon_r).tolist()
-    for i in np.flatnonzero(passed):
-        assert errors[i].tobytes() == exact_errors[i].tobytes()
-        assert medians[i] == exact_medians[i]
+    assert passed.tolist() == (want_medians <= epsilon_r).tolist()
+    for i, (idx, _, median) in enumerate(want):
+        if passed[i]:
+            assert filtered[i].tolist() == idx.tolist() and medians[i] == median, i
+        else:
+            assert filtered[i] is None, i
     # where squares are far from underflow and overflow, a row that cannot
     # pass (fewer than (take - 1) // 2 + 1 errors near epsilon_r) is +inf
     if 1e-140 <= epsilon_r <= 1e140:
         lo = (min(n_f, src.shape[0]) - 1) // 2
-        near = np.count_nonzero(exact_errors <= epsilon_r * (1.0 + 2.0**-30), axis=1)
-        for i in np.flatnonzero(near <= lo):
-            assert np.isposinf(errors[i]).all() and medians[i] == math.inf, i
+        for i, e in enumerate(errors):
+            if np.count_nonzero(e <= epsilon_r * (1.0 + 2.0**-30)) <= lo:
+                assert medians[i] == math.inf, i
 
 
 def _identity_seed_block(offsets, n_f: int, epsilon_r: float):
@@ -257,11 +255,9 @@ def _identity_seed_block(offsets, n_f: int, epsilon_r: float):
     Every source point is the origin, so the error of offset (a, b) is
     ``np.hypot(a, b)``.
     """
-    seed = Pool([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
-    src = np.zeros((len(offsets), 2))
-    dst = np.array(offsets, dtype=float)
-    _check_gated_block(seed, src, dst, n_f, epsilon_r)
-    return _seed_block(seed, src, dst, n_f, epsilon_r)
+    src, dst = identity_targets(offsets)
+    _check_gated_block(IDENTITY_SEED, src, dst, n_f, epsilon_r)
+    return _seed_block(IDENTITY_SEED, src, dst, n_f, epsilon_r)
 
 
 def test_gate_keeps_a_median_that_the_sum_of_squares_rounds_above_epsilon_r():
@@ -269,7 +265,7 @@ def test_gate_keeps_a_median_that_the_sum_of_squares_rounds_above_epsilon_r():
     r = float(np.hypot(a, b))
     assert a * a + b * b > r * r  # so an unwidened squared threshold drops it
     offsets = [(0.0, 1.0), (0.0, 2.0), (a, b), (0.0, 30.0), (0.0, 40.0)]
-    _, medians = _identity_seed_block(offsets, 5, r)
+    medians, _ = _identity_seed_block(offsets, 5, r)
     assert medians[0] == r
 
 
@@ -277,12 +273,12 @@ def test_gate_count_rank_for_odd_and_even_filtered_sets():
     errors = [(0.0, e) for e in (1.0, 2.0, 3.0, 5.0, 8.0, 9.0)]
     # take 6: the median 4 sits between the values of rank 2 and 3, so three
     # errors within epsilon_r make the row exact, and two cannot pass
-    assert _identity_seed_block(errors, 6, 4.0)[1][0] == 4.0
-    assert _identity_seed_block(errors, 6, 3.5)[1][0] == 4.0
-    assert _identity_seed_block(errors, 6, 2.5)[1][0] == math.inf
+    assert _identity_seed_block(errors, 6, 4.0)[0][0] == 4.0
+    assert _identity_seed_block(errors, 6, 3.5)[0][0] == 4.0
+    assert _identity_seed_block(errors, 6, 2.5)[0][0] == math.inf
     # take 5: two errors within 2.5 cannot make a median of 3 pass
-    assert _identity_seed_block(errors[:5], 5, 2.5)[1][0] == math.inf
-    assert _identity_seed_block(errors[:5], 5, 3.0)[1][0] == 3.0
+    assert _identity_seed_block(errors[:5], 5, 2.5)[0][0] == math.inf
+    assert _identity_seed_block(errors[:5], 5, 3.0)[0][0] == 3.0
 
 
 @st.composite
@@ -327,7 +323,7 @@ def gated_blocks(draw):
     if not draw(st.booleans()):
         return seeds, pool_src, pool_dst, n_f, draw(st.sampled_from(GATE_EPSILONS))
     with np.errstate(over="ignore", invalid="ignore"):  # far-out points
-        medians = _seed_block(seeds, pool_src, pool_dst, n_f)[1]
+        medians = _seed_block(seeds, pool_src, pool_dst, n_f)[0]
     finite = medians[np.isfinite(medians) & (medians > 0.0)]
     if finite.size == 0:
         return seeds, pool_src, pool_dst, n_f, 20.0 * scale

@@ -17,18 +17,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hsolo import AffineFeature, Correspondence, Homography, Point2, SingularMatrix
-from hsolo.estimator import _filtered_from_errors, _seed_block
+from hsolo.estimator import _seed_block
 from hsolo.geometry import (
     SINGULARITY_RTOL,
     _canonicalize,
     as_pool,
     pool_arrays,
-    transfer_errors,
     valid_homography,
 )
-from hsolo.solvers import single_match_homography
 
-from conftest import random_points
+from conftest import _reference_filter, random_points, scalar_seed_errors
 
 BAND = 1e-15
 
@@ -128,14 +126,10 @@ def sketch_seeds(draw):
 @FAST
 @given(seeds=st.lists(sketch_seeds(), min_size=1, max_size=8))
 def test_seed_block_rows_follow_single_match_homography(seeds):
-    errors, medians = _seed_block(as_pool(seeds), _SRC, _DST, 21)
+    # a gate of +inf hands every seed its filtered set
+    medians, filtered = _seed_block(as_pool(seeds), _SRC, _DST, 21, math.inf)
+    np.testing.assert_array_equal(_seed_block(as_pool(seeds), _SRC, _DST, 21)[0], medians)
     for i, c in enumerate(seeds):
-        try:
-            m = single_match_homography(c).m
-        except (SingularMatrix, ValueError):
-            assert np.isposinf(errors[i]).all() and medians[i] == math.inf
-            continue
-        want = transfer_errors(m, _SRC, _DST)
-        want[np.isnan(want)] = np.inf
-        assert errors[i].tobytes() == want.tobytes()
-        assert medians[i] == _filtered_from_errors(want, 21).median_error
+        idx, _, median = _reference_filter(scalar_seed_errors(c, _SRC, _DST), 21)
+        assert filtered[i].tolist() == idx.tolist()
+        assert medians[i] == median

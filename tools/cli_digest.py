@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 59 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 61 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``
 and ``COLUMNS=80``, so help text wraps the same in any terminal.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
@@ -49,6 +49,7 @@ COMMANDS = [
     "solve a.csv --epsilon nan",
     "solve a.csv --epsilon-r 1e-300",
     "solve a.csv --epsilon-r inf",
+    "solve a.csv --method ransac --nf 3",
     "solve points.csv --method ransac",
     "solve points.csv",
     "solve extreme.csv",
@@ -77,6 +78,7 @@ COMMANDS = [
     "bench --input empty.csv --methods ransac --trials 2",
     "bench --input empty.csv --trials 2",
     "bench --input zero.csv --methods ransac --trials 2 --max-iterations 2000",
+    "bench --input a.csv --methods ransac --trials 2 --pixel-noise -1 --max-iterations 200",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods ransac,hsolo",
     "bench --trials 2 --n 200 --w 0.05,0.3 --methods hsolo,hsolo,ransac",
     "bench --trials 1 --n 100 --w nan",
