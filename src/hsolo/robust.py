@@ -7,11 +7,10 @@ samples are drawn from ``sample_pool`` while support is always counted against
 Candidate models are evaluated in batches for speed, then replayed in
 iteration order, so an improvement found at iteration i still tightens the
 budget seen by iteration i + 1 exactly as in a one-at-a-time loop. A batch
-is scored in cache-sized tiles of models: each tile's projection lands in
-contiguous x, y and w planes, so the squared errors are formed in place
-without a batch-sized temporary. All randomness comes from a single
-generator seeded by the config, which makes runs with the same inputs and
-seed reproducible.
+is scored in cache-sized tiles of points, and only the elements whose squared
+x error alone is within the threshold go on to the y error, the singularity
+test and the count. All randomness comes from a single generator seeded by
+the config, which makes runs with the same inputs and seed reproducible.
 """
 
 from __future__ import annotations
@@ -111,9 +110,9 @@ def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.n
         keys = rng.random((count, n))
         return np.argpartition(keys, s - 1, axis=1)[:, :s]
     out = rng.integers(0, n, size=(count, s))
+    a, b = np.triu_indices(s, 1)  # every pair of columns
     while True:
-        srt = np.sort(out, axis=1)
-        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        bad = (out[:, a] == out[:, b]).any(axis=1)
         n_bad = int(bad.sum())
         if n_bad == 0:
             return out
@@ -125,38 +124,38 @@ def _support_counts(
 ) -> np.ndarray:
     """Inlier counts of each model over the scoring points.
 
-    Models are scored in tiles of about ``_TILE_ELEMENTS`` model x point
-    elements, so one tile's projection stays in cache. The stacked matmul
-    writes each tile into one reused ``(3, tile, n)`` buffer, which makes the
-    x, y and w planes contiguous ``(tile, n)`` arrays. The matmul stays
-    stacked because a single ``(3c, 3) @ (3, n)`` product rounds differently.
-    The squared errors are formed in place in the planes, rounding as
-    ``dx * dx + dy * dy`` with ``dx = x / w - u`` does. A point counts only if
-    ``|w| > SINGULARITY_RTOL * fro``, so a point mapped to the line at
-    infinity, a NaN or an infinity never counts.
+    Points are scored in tiles of about ``_TILE_ELEMENTS`` point x model
+    elements. One ``(points, 3) @ (3, models)`` gemm per homography row
+    fills a tile's x, y and w planes; it rounds as the stacked
+    ``(3, 3) @ (3, n)`` product does, where ``(3c, 3) @ (3, n)`` would not.
+    Only elements with ``dx * dx <= epsilon**2`` (``dx = x / w - u``) go on:
+    rounding is monotone and ``dy * dy >= 0``, so their rounded sum is never
+    below ``dx * dx`` (a NaN fails both tests). Those get ``dy``, the sum and
+    the test ``|w| > SINGULARITY_RTOL * fro``, so a point mapped to the line
+    at infinity, a NaN or an infinity never counts.
     """
     c, n = len(models), len(dst)
-    tile = max(1, _TILE_ELEMENTS // max(n, 1))
-    planes = np.empty((3, min(tile, c), n))
+    chunk = max(1, _TILE_ELEMENTS // max(c, 1))
+    rows = np.ascontiguousarray(models.transpose(1, 2, 0))  # rows[r]: every model's r-th row, (3, c)
+    planes = np.empty((3, min(chunk, n), c))
     u, v = np.ascontiguousarray(dst.T)
+    eps2 = epsilon * epsilon
     counts = np.zeros(c, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w_min = SINGULARITY_RTOL * np.sqrt((models**2).sum(axis=(1, 2)))
-        for lo in range(0, c, tile):
-            m = models[lo : lo + tile]
-            k = len(m)
-            np.matmul(m, src_h.T, out=planes[:, :k].transpose(1, 0, 2))
-            x, y, w = planes[:, :k]
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            np.matmul(src_h[lo:hi], rows, out=planes[:, : hi - lo])
+            x, y, w = planes[:, : hi - lo]
             x /= w
-            x -= u
+            x -= u[lo:hi, None]
             x *= x
-            y /= w
-            y -= v
-            y *= y
-            x += y
-            inlier = np.abs(w) > w_min[lo : lo + k, None]
-            inlier &= x <= epsilon * epsilon
-            counts[lo : lo + k] = np.count_nonzero(inlier, axis=1)
+            hit = np.flatnonzero(x <= eps2)
+            point, model = np.divmod(hit, c)
+            wh = w.ravel()[hit]
+            dy = y.ravel()[hit] / wh - v[lo + point]
+            inlier = (x.ravel()[hit] + dy * dy <= eps2) & (np.abs(wh) > w_min[model])
+            counts += np.bincount(model[inlier], minlength=c)
     counts[~valid] = 0
     return counts
 
@@ -207,11 +206,10 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
             models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
             valid &= valid_homography(models.transpose(1, 2, 0))
         supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
-        for j in range(chunk):
+        for j, sup in enumerate(supports.tolist()):
             if it >= k:
                 break
             it += 1
-            sup = int(supports[j])
             if sup >= 4 and sup > best_support:
                 model = Homography._trusted(models[j])
                 best_support = sup

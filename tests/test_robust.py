@@ -1,7 +1,8 @@
 """Tests for the adaptive RANSAC estimator and its iteration-count formula.
 
 The tiled support-counting kernel is checked against the one-buffer kernel it
-replaced, kept below as ``reference_support_counts``.
+replaced, kept below as ``reference_support_counts``, and the sample drawer
+against the sort-based one, kept as ``reference_draw_distinct``.
 """
 
 import math
@@ -268,16 +269,32 @@ SCORING = settings(max_examples=150, deadline=None, suppress_health_check=[Healt
 
 @st.composite
 def scoring_cases(draw):
-    """Model batches around the tile size, with w exactly 0 or near the cut, NaN, inf and invalid rows.
-
-    Points and translations are integers, so many errors are exact and some
-    land on the threshold (a 3-4-5 offset at epsilon 5).
-    """
+    """Model batches around the model tile ``_TILE_ELEMENTS // n``; see ``scoring_case``."""
     n = draw(st.one_of(st.integers(1, 600), st.just(robust._TILE_ELEMENTS + 1)))
     tile = max(1, robust._TILE_ELEMENTS // n)
     c = draw(st.sampled_from(sorted({1, max(1, tile - 1), tile, 2 * tile + 1, 3 * tile - 1})))
     if n * c > 2_000_000:
         c = tile
+    return scoring_case(draw, n, c)
+
+
+@st.composite
+def point_chunk_cases(draw):
+    """Scoring pools around the point chunk ``_TILE_ELEMENTS // c``; see ``scoring_case``."""
+    c = draw(st.one_of(st.integers(1, 300), st.sampled_from([11, 256, 2048, robust._TILE_ELEMENTS + 1])))
+    chunk = max(1, robust._TILE_ELEMENTS // c)
+    n = draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, 2 * chunk + 1})))
+    if n * c > 2_000_000:
+        n = chunk
+    return scoring_case(draw, n, c)
+
+
+def scoring_case(draw, n, c):
+    """n points, c models, with w exactly 0 or near the cut, NaN, inf and invalid rows.
+
+    Points and translations are integers, so many errors are exact and some
+    land on the threshold (a 3-4-5 offset at epsilon 5).
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     src = rng.integers(-50, 700, size=(n, 2)).astype(float)
     dst = src + rng.integers(-5, 6, size=2)
@@ -309,6 +326,49 @@ def test_tiled_support_counts_match_the_reference(case):
     got = robust._support_counts(*case)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
+
+
+@SCORING
+@given(case=point_chunk_cases())
+def test_point_chunked_support_counts_match_the_reference(case):
+    want = reference_support_counts(*case)
+    got = robust._support_counts(*case)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_support_counts_at_the_edges_of_the_x_gate():
+    """The x gate passes on dx**2 alone; y, w and the sum decide as the reference does.
+
+    Model rows of 1e150 against a source coordinate of 1e200 overflow y to
+    +inf or -inf (or, from two such terms of opposite sign, to NaN or an
+    infinity, as the product rounds) while x and w stay finite, with w well
+    above the singularity cut.
+    """
+    big, far = 1e150, 1e200
+    cases = [  # (model, source point, target point, epsilon, expected count)
+        (np.eye(3), (0.0, 0.0), (3.0, 0.0), 3.0, 1),  # dx**2 == epsilon**2, dy == 0: counts
+        (np.eye(3), (0.0, 0.0), (3.0, 1.0), 3.0, 0),  # dx**2 == epsilon**2, dy != 0: does not
+        (np.eye(3), (0.0, 0.0), (0.0, np.nan), 3.0, 0),  # finite x, NaN target y
+        (np.eye(3), (0.0, 0.0), (0.0, np.inf), 3.0, 0),  # finite x, infinite target y
+        ([[0, 0, big], [big, 0, 0], [0, 0, big]], (far, 0.0), (1.0, 0.0), 3.0, 0),  # y = +inf
+        ([[0, 0, big], [big, 0, 0], [0, 0, big]], (-far, 0.0), (1.0, 0.0), 3.0, 0),  # y = -inf
+        ([[0, 0, big], [big, big, 0], [0, 0, big]], (far, -far), (1.0, 0.0), 3.0, 0),  # y = NaN or inf
+        ([[0, 0, big], [0, 0, 0], [0, 0, big]], (far, -far), (1.0, 0.0), 3.0, 1),  # same x and w, y = 0
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], (1.0, 2.0), (0.0, 0.0), 3.0, 0),  # w == 0, finite x
+        ([[0, 0, 0], [0, 1, 0], [0, 0, 0]], (1.0, 2.0), (0.0, 0.0), 3.0, 0),  # w == 0, x == 0
+    ]
+    for model, p, q, epsilon, expected in cases:
+        args = (
+            np.array([model], dtype=float),
+            np.ones(1, dtype=bool),
+            np.array([[p[0], p[1], 1.0]]),
+            np.array([q]),
+            epsilon,
+        )
+        got = robust._support_counts(*args)
+        np.testing.assert_array_equal(got, reference_support_counts(*args))
+        assert got.tolist() == [expected], (model, p, q)
 
 
 def test_support_counts_of_an_empty_scoring_pool_are_zero():
@@ -344,3 +404,28 @@ def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
     want = solve()
     assert got == want
     assert got[2] == 10_000  # the cap: every draw was scored
+
+
+def reference_draw_distinct(rng, n, s, count):
+    """The earlier drawer for n > 64: rows with a repeat, found by a per-row sort, are redrawn whole."""
+    out = rng.integers(0, n, size=(count, s))
+    while True:
+        srt = np.sort(out, axis=1)
+        bad = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return out
+        out[bad] = rng.integers(0, n, size=(n_bad, s))
+
+
+@pytest.mark.parametrize("n", [65, 70, 500])
+@pytest.mark.parametrize("count", [1, 256, 2048])
+def test_draw_distinct_matches_the_sort_based_reference(n, count):
+    """Same rows and the same generator state after: the random stream is unchanged."""
+    got_rng, want_rng = np.random.default_rng(n * count), np.random.default_rng(n * count)
+    for _ in range(3):
+        got = robust._draw_distinct(got_rng, n, 4, count)
+        want = reference_draw_distinct(want_rng, n, 4, count)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert all(len(set(row)) == 4 for row in got.tolist())
