@@ -39,7 +39,7 @@ _EVAL_GRID = 5
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One estimation attempt and its evaluation."""
+    """One estimation attempt and its evaluation; ``elapsed`` times the call, model or not."""
 
     method: str
     w_true: float
@@ -111,7 +111,7 @@ def _held_out_pairs(truth, bounds) -> tuple[np.ndarray, np.ndarray]:
     ys = np.linspace(0.1 * height, 0.9 * height, _EVAL_GRID)
     gx, gy = np.meshgrid(xs, ys)
     a = np.column_stack([gx.ravel(), gy.ravel()])
-    return a, project_points(truth.m, a)[0]
+    return a, project_points(truth.m, a)
 
 
 def _evaluate(result, elapsed, method, w_true, held_out, seed) -> TrialRecord:
@@ -122,15 +122,8 @@ def _evaluate(result, elapsed, method, w_true, held_out, seed) -> TrialRecord:
         mean_err = float(np.mean(errors)) if len(errors) else math.inf
     if math.isnan(mean_err):
         mean_err = math.inf
-    return TrialRecord(
-        method,
-        w_true,
-        bool(mean_err < SUCCESS_ERROR_PX),
-        mean_err,
-        result.iterations_run,
-        result.elapsed,
-        seed,
-    )
+    success = bool(mean_err < SUCCESS_ERROR_PX)
+    return TrialRecord(method, w_true, success, mean_err, result.iterations_run, elapsed, seed)
 
 
 def _method_records(pool, methods, configs, streams, w_true, held_out, trial_seed):

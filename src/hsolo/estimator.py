@@ -11,8 +11,9 @@ gate medians and the filtered sets of passing seeds, from one ranking per
 seed, for many seeds in one array pass), then replayed in order, so the
 budget and results are those of a one-at-a-time loop. The winning model is
 polished by a damped Gauss-Newton (Levenberg-Marquardt) pass over its
-inliers. Pools are taken as a :class:`~hsolo.geometry.Pool` or as a
-sequence of correspondences, converted once by ``as_pool``.
+inliers, and the whole pool is re-thresholded under the result. Pools are
+taken as a :class:`~hsolo.geometry.Pool` or as a sequence of
+correspondences, converted once by ``as_pool``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .exceptions import InsufficientData, NoModelFound, SingularMatrix
 from .geometry import (
-    SINGULARITY_RTOL, Homography, Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors,
+    Homography, Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors,
     valid_homography,
 )
 from .robust import (
@@ -278,20 +279,19 @@ def refine_model(h: Homography, inliers) -> Refinement:
     damping starts at 1e-3, shrinks tenfold on accepted steps and grows
     tenfold on rejected ones. Stops on relative cost decrease below 1e-10,
     step norm below 1e-12, or 100 attempted steps. The returned cost never
-    exceeds the initial cost; if the starting point is numerically unusable
-    the input is returned unchanged with ``degraded`` set.
+    exceeds the initial cost. The chart is ``h``'s canonical form, which has
+    h9 = 1 exactly when h9 is significant; if it is not, or the starting
+    point is numerically unusable, the input is returned unchanged with
+    ``degraded`` set.
     """
     if len(inliers) < 4:
         raise ValueError(f"need >= 4 inliers, got {len(inliers)}")
     src, dst = pool_arrays(inliers)
-    m = h.m
-    initial_errs = transfer_errors(m, src, dst)
-    initial_cost = float(np.sum(initial_errs**2))
-
-    # the 8-parameter chart needs a usable bottom-right entry
-    if not abs(m[2, 2]) > SINGULARITY_RTOL * math.sqrt(float(np.sum(m**2))):
+    initial_cost = float(np.sum(transfer_errors(h.m, src, dst) ** 2))
+    # the 8-parameter chart is the canonical form with h9 = 1
+    if h.m[2, 2] != 1.0:
         return Refinement(h, initial_cost, initial_cost, 0, degraded=True)
-    params = (m / m[2, 2]).ravel()[:8].copy()
+    params = h.m.ravel()[:8].copy()
 
     # overflow at far-out coordinates is caught by the isfinite checks
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -330,16 +330,29 @@ def refine_model(h: Homography, inliers) -> Refinement:
 
     if cost >= start_cost:
         return Refinement(h, initial_cost, initial_cost, attempts, degraded=False)
-    mat = np.empty((3, 3))
-    mat.flat[:8] = params
-    mat[2, 2] = 1.0
     try:
-        refined = Homography(mat)
+        refined = Homography(np.append(params, 1.0))
     except (SingularMatrix, ValueError):
         return Refinement(h, initial_cost, initial_cost, attempts, degraded=True)
-    # initial_cost is measured on h as given; start_cost on the h9=1 chart.
-    # They differ only by canonicalization rounding.
+    # initial_cost comes from transfer_errors, start_cost from the residuals;
+    # they differ only by rounding
     return Refinement(refined, initial_cost, cost, attempts, degraded=False)
+
+
+def _polish(model: Homography, inlier_idx: np.ndarray, pool: Pool, src, dst, epsilon: float):
+    """hsolo's end stage: ``refine_model`` on the winner's inliers, then the whole pool re-thresholded.
+
+    The refined model and the indices of ``pool`` (arrays ``src``, ``dst``)
+    within ``epsilon`` of it replace the winner's unless refinement is
+    ``degraded`` or fewer than 4 indices remain.
+    """
+    refinement = refine_model(model, pool[inlier_idx])
+    if refinement.degraded:
+        return model, inlier_idx
+    refined_idx = np.flatnonzero(transfer_errors(refinement.model.m, src, dst) <= epsilon)
+    if refined_idx.size < 4:
+        return model, inlier_idx
+    return refinement.model, refined_idx
 
 
 def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
@@ -419,20 +432,10 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     if best is None:
         raise NoModelFound("no seed correspondence led to a model with support >= 4")
 
-    model = best.model
-    inlier_idx = best.inlier_indices
-    refinement = refine_model(model, shuffled[inlier_idx])
-    if not refinement.degraded:
-        errs = transfer_errors(refinement.model.m, src, dst)
-        refined_idx = np.flatnonzero(errs <= config.epsilon)
-        if refined_idx.size >= 4:
-            model = refinement.model
-            inlier_idx = refined_idx
-
-    caller_idx = np.sort(perm[inlier_idx])
+    model, inlier_idx = _polish(best.model, best.inlier_indices, shuffled, src, dst, config.epsilon)
     return EstimationResult(
         model=model,
-        inlier_indices=caller_idx,
+        inlier_indices=np.sort(perm[inlier_idx]),
         support=int(inlier_idx.size),
         iterations_run=it,
         k_final=k,

@@ -309,13 +309,12 @@ def pool_arrays(pool) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, 0:2], rows[:, 4:6]
 
 
-def project_points(m: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def project_points(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Apply a 3x3 matrix to (n, 2) points: the array projection kernel.
 
-    Returns ``(xy, ok)``. ``ok`` is False where the homogeneous w-component
-    is at most :data:`SINGULARITY_RTOL` times the matrix's Frobenius norm,
-    i.e. the point maps (numerically) to the line at infinity; those rows of
-    ``xy`` are +infinity.
+    Returns the (n, 2) images. Where the homogeneous w-component is at most
+    :data:`SINGULARITY_RTOL` times the matrix's Frobenius norm, i.e. the
+    point maps (numerically) to the line at infinity, the row is +infinity.
     """
     m = np.asarray(m, dtype=float)
     x, y, w = apply_homogeneous(m.tolist(), pts[:, 0], pts[:, 1])
@@ -325,7 +324,7 @@ def project_points(m: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarr
     np.divide(x, w, out=xy[:, 0])
     np.divide(y, w, out=xy[:, 1])
     xy[bad] = np.inf
-    return xy, ~bad
+    return xy
 
 
 def transfer_errors(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -334,5 +333,5 @@ def transfer_errors(m: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarr
     Degenerate projections (w-component below tolerance) land at infinity, so
     a bad candidate model loses support instead of crashing the caller.
     """
-    xy, _ = project_points(m, src)
+    xy = project_points(m, src)
     return np.hypot(xy[:, 0] - dst[:, 0], xy[:, 1] - dst[:, 1])

@@ -125,8 +125,9 @@ def _sample_inlier_sources(
         xs = rng.uniform(margin * width, (1.0 - margin) * width, size=draw)
         ys = rng.uniform(margin * height, (1.0 - margin) * height, size=draw)
         pts = np.column_stack([xs, ys])
-        img, ok = project_points(spec.truth.m, pts)
-        ok &= ((img >= 0.0) & (img <= (width, height))).all(axis=1)
+        # a point sent to the line at infinity projects to +inf, out of bounds
+        img = project_points(spec.truth.m, pts)
+        ok = ((img >= 0.0) & (img <= (width, height))).all(axis=1)
         attempts += draw
         rejects += int(draw - ok.sum())
         if ok.any():

@@ -111,6 +111,13 @@ def pool_from_arrays(src: np.ndarray, dst: np.ndarray) -> list:
     ]
 
 
+def result_fingerprint(result) -> tuple:
+    """Every deterministic field of an ``EstimationResult``, models as bytes."""
+    history = [(h.iteration, h.support, h.k_after, h.model.m.tobytes()) for h in result.history]
+    inliers = result.inlier_indices.tolist()
+    return result.model.m.tobytes(), inliers, result.support, result.iterations_run, result.k_final, history
+
+
 def assert_models_equal_up_to_scale(got: np.ndarray, want: np.ndarray, atol: float) -> None:
     """(c, 3, 3) models agree within atol once each pair is scaled to Frobenius norm 1 and the same sign."""
     got = got / np.linalg.norm(got, axis=(1, 2), keepdims=True)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from hsolo import estimator
 from hsolo import (
     AffineFeature,
     Correspondence,
@@ -17,6 +18,7 @@ from hsolo import (
     InsufficientData,
     NoModelFound,
     Point2,
+    Refinement,
     estimate_epsilon_r,
     hsolo_estimate,
     project,
@@ -24,7 +26,7 @@ from hsolo import (
     reprojection_error,
 )
 from hsolo.estimator import _residuals_and_jacobian
-from hsolo.geometry import pool_arrays, transfer_errors
+from hsolo.geometry import as_pool, pool_arrays, project_points, transfer_errors
 from hsolo.synthetic import SceneSpec, generate_scene, jacobian_byproducts, random_scene_truth
 
 from conftest import (
@@ -32,6 +34,7 @@ from conftest import (
     filter_by_model,
     kernel_filter,
     make_byproduct_correspondence,
+    pool_from_arrays,
     random_points,
     random_truth,
 )
@@ -155,18 +158,8 @@ class TestEstimateEpsilonR:
 
 class TestRefineModel:
     def _noisy_pool(self, rng, truth, n=30, sigma=0.5):
-        pool = []
-        for p in random_points(rng, n):
-            q = project(truth, p)
-            pool.append(
-                Correspondence(
-                    AffineFeature(p, 1.0, 0.0),
-                    AffineFeature(
-                        Point2(q.u + rng.normal(0, sigma), q.v + rng.normal(0, sigma)), 1.0, 0.0
-                    ),
-                )
-            )
-        return pool
+        src = np.array([(p.u, p.v) for p in random_points(rng, n)])
+        return pool_from_arrays(src, project_points(truth.m, src) + rng.normal(0.0, sigma, (n, 2)))
 
     def test_exact_start_returns_same_model(self, rng):
         truth = random_truth(rng)
@@ -221,6 +214,41 @@ class TestRefineModel:
         ref = refine_model(perm, pool)
         assert ref.degraded
         np.testing.assert_array_equal(ref.model.m, perm.m)
+
+
+@pytest.mark.parametrize(
+    "refined, degraded, n_shifted, want",
+    [
+        ("truth", False, 0, np.arange(20)),  # usable: its inliers over the whole pool
+        ("truth", True, 0, None),  # degraded: the winner stands
+        ("shifted", False, 3, None),  # fewer than 4 inliers: the winner stands
+        ("shifted", False, 4, np.arange(20, 24)),
+    ],
+    ids=["usable", "degraded", "three-inliers", "four-inliers"],
+)
+def test_polish_takes_a_usable_refinement_only(rng, monkeypatch, refined, degraded, n_shifted, want):
+    """``_polish`` with a fake ``refine_model`` outcome, on 20 exact matches of
+    a truth, ``n_shifted`` of the truth shifted by 100 px and 5 random pairs."""
+    truth = random_truth(rng)
+    models = {"truth": truth, "shifted": Homography(Homography.translation(100.0, 0.0).m @ truth.m)}
+    outliers = pool_from_arrays(rng.uniform(0.0, 640.0, (5, 2)), rng.uniform(0.0, 480.0, (5, 2)))
+    exact = exact_pool(truth, random_points(rng, 20)) + exact_pool(models["shifted"], random_points(rng, n_shifted))
+    pool = as_pool(exact + outliers)
+    calls = []
+
+    def fake_refine(h, inliers):
+        calls.append((h, inliers))
+        return Refinement(models[refined], 1.0, 0.5, 3, degraded)
+
+    monkeypatch.setattr(estimator, "refine_model", fake_refine)
+    winner, winner_idx = Homography.identity(), np.arange(10)
+    model, idx = estimator._polish(winner, winner_idx, pool, *pool_arrays(pool), 4.0)
+    assert calls == [(winner, pool[winner_idx])]  # refined on the winner's inliers
+    if want is None:
+        assert model is winner and idx is winner_idx
+    else:
+        assert model is models[refined]
+        np.testing.assert_array_equal(idx, want)
 
 
 class TestJacobian:

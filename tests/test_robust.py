@@ -27,7 +27,7 @@ from hsolo import (
 from hsolo.geometry import SINGULARITY_RTOL, pool_arrays, transfer_errors
 from hsolo.synthetic import SceneSpec, generate_scene, random_scene_truth
 
-from conftest import exact_pool, pool_from_arrays, random_points, random_truth
+from conftest import exact_pool, pool_from_arrays, random_points, random_truth, result_fingerprint
 
 
 def iterations_oracle(w: float, n: int, p: float) -> int:
@@ -134,12 +134,7 @@ def test_plain_start_rate_is_sample_size_over_pool_size(rng):
         cfg = RansacConfig(seed=n_outliers, max_iterations=5000)
         got = ransac_homography(pool, pool, None, cfg)
         want = ransac_homography(pool, pool, min(1.0, 4 / len(pool)), cfg)
-        np.testing.assert_array_equal(got.model.m, want.model.m)
-        np.testing.assert_array_equal(got.inlier_indices, want.inlier_indices)
-        assert (got.iterations_run, got.k_final) == (want.iterations_run, want.k_final)
-        assert [(h.iteration, h.support, h.k_after) for h in got.history] == [
-            (h.iteration, h.support, h.k_after) for h in want.history
-        ]
+        assert result_fingerprint(got) == result_fingerprint(want)
 
 
 class TestRansacHomography:
@@ -394,16 +389,10 @@ def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
     pool, _ = generate_scene(spec)
     cfg = RansacConfig(max_iterations=10_000, seed=seed)
 
-    def solve():
-        res = ransac_homography(pool, pool, None, cfg)
-        history = [(h.iteration, h.support, h.k_after, h.model.m.tobytes()) for h in res.history]
-        return res.model.m.tobytes(), res.inlier_indices.tolist(), res.iterations_run, res.k_final, history
-
-    got = solve()
+    got = ransac_homography(pool, pool, None, cfg)
     monkeypatch.setattr(robust, "_support_counts", reference_support_counts)
-    want = solve()
-    assert got == want
-    assert got[2] == 10_000  # the cap: every draw was scored
+    assert result_fingerprint(got) == result_fingerprint(ransac_homography(pool, pool, None, cfg))
+    assert got.iterations_run == 10_000  # the cap: every draw was scored
 
 
 def reference_draw_distinct(rng, n, s, count):

@@ -153,7 +153,7 @@ class TestSolveMinimalBatch:
     def test_recovers_noise_free_truths(self, rng):
         truths = np.array([random_scene_truth(rng, (640.0, 480.0)).m for _ in range(300)])
         src = rng.uniform(0.0, 1.0, size=(300, 4, 2)) * [640.0, 480.0]
-        dst = np.array([project_points(m, s)[0] for m, s in zip(truths, src)])
+        dst = np.array([project_points(m, s) for m, s in zip(truths, src)])
         models, valid = solve_minimal_batch(src, dst)
         assert valid.all()
         assert_models_equal_up_to_scale(models, truths, atol=1e-9)
@@ -163,7 +163,7 @@ class TestSolveMinimalBatch:
         corners = np.array([[160.0, 120.0], [480.0, 120.0], [480.0, 360.0], [160.0, 360.0]])
         src = corners + rng.uniform(-120.0, 120.0, size=(40, 4, 2))
         truths = np.array([random_truth(rng).m for _ in range(len(src))])
-        dst = np.array([project_points(m, s)[0] for m, s in zip(truths, src)])
+        dst = np.array([project_points(m, s) for m, s in zip(truths, src)])
         scales = np.repeat([1e-150, 1e150], 20)[:, None, None]
         with np.errstate(all="raise"):
             models, valid = solve_minimal_batch(src * scales, dst * scales)
@@ -195,7 +195,7 @@ class TestSolveMinimalBatch:
         src = corners + rng.uniform(-120.0, 120.0, size=(300, 4, 2))
         dst = np.empty_like(src)
         for i in range(len(src)):
-            dst[i] = project_points(random_truth(rng).m, src[i])[0] + rng.uniform(-5.0, 5.0, (4, 2))
+            dst[i] = project_points(random_truth(rng).m, src[i]) + rng.uniform(-5.0, 5.0, (4, 2))
         models, valid = solve_minimal_batch(src, dst)
         assert valid.all()
         for i in range(len(src)):
