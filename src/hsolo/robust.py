@@ -9,8 +9,11 @@ iteration order, so an improvement found at iteration i still tightens the
 budget seen by iteration i + 1 exactly as in a one-at-a-time loop. A batch
 is scored in cache-sized tiles of points, and only the elements whose squared
 x error alone is within the threshold go on to the y error, the singularity
-test and the count. All randomness comes from a single generator seeded by
-the config, which makes runs with the same inputs and seed reproducible.
+test and the count. Once a model has a support of 4, each batch is first
+bounded in float32 (``_SupportBound``), and only the candidates whose bound
+beats the best support so far are scored exactly. All randomness comes from
+a single generator seeded by the config, which makes runs with the same
+inputs and seed reproducible.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ DEFAULT_MAX_ITERATIONS = 10_000_000
 _CHUNK = 2048
 # model x point elements scored per tile: one tile's x, y, w planes stay in cache
 _TILE_ELEMENTS = 32_768
+# relative and absolute slack of _SupportBound's float32 test (see there)
+_BOUND_RTOL = 2.0**-18
+_BOUND_ATOL = 2.0**-100
+# pools and thresholds whose 9-term rows stay far inside float32's range
+_BOUND_RANGE = 2.0**100
 
 
 def required_iterations(w: float, n: int, p: float, max_iterations: int = DEFAULT_MAX_ITERATIONS) -> int:
@@ -160,6 +168,93 @@ def _support_counts(
     return counts
 
 
+class _SupportBound:
+    """Upper bounds on :func:`_support_counts` from a float32 box test, for one scoring pool.
+
+    Each point gets the row ``[us, vs, 1, -u*us, -u*vs, -u, -v*us, -v*vs, -v]``
+    of ``(n, 9)`` table ``T`` (source ``(us, vs)``, target ``(u, v)``).
+    Each model, scaled by a power of two so its largest entry lies in
+    [0.5, 1) (exact), writes its rows into a ``(3, 9)`` block ``C`` such that
+    ``T @ C`` gives ``dx' = x - u*w``, ``dy' = y - v*w`` and ``eps*w``. One
+    stacked ``np.matmul`` per tile of points gives the three planes, and a
+    point counts toward a model's bound when
+    ``max(|dx'|, |dy'|) - |eps*w| <= margin``.
+
+    Why no exact inlier is missed. Let ``a`` be the column maxima of ``|T|``
+    and ``S_p = sum_j |C_pj| * a_j`` the magnitude bound of plane ``p`` for
+    one model; every term of every point's sum is within it. When
+    :func:`_support_counts` counts a point, its rounded ``dx*dx`` and
+    ``dy*dy`` are at most the rounded ``eps**2``, so
+    ``|x/w - u| <= eps*(1 + 5r) + 2r*|u|`` with ``r = 2**-53``. Times
+    ``|w|``, and with the float64 gemm's ``3r`` error on ``x`` and ``w``,
+    the exact ``|dx'|`` is within ``eps*|w| + 9r * (S_dx' + S_w)``, and
+    likewise ``|dy'|``. In float32 (``r32 = 2**-24``) the casts of ``T`` and
+    ``C`` and the 9-term dot product, in any order, move each plane by at
+    most ``12 r32 * S_p``, below ``2**-20 * S_p``; the abs, max and
+    subtraction add one more rounding. The margin
+    ``2**-18 * (max(S_dx', S_dy') + S_w)`` is four times that, which also
+    covers its own cast to float32. Subnormal or
+    flushed float32 values move each term by at most ``2**-126`` times
+    ``a_j`` or ``max(1, eps)``, which ``2**-100 * (1 + eps) * sum(a)``
+    covers, and the float64 kernel's underflow is far below it for models
+    whose largest entry is at least 2**-600.
+
+    A smaller model, or one with a non-finite entry, is zeroed, and a zero
+    model's test ``0 <= margin`` counts every point, so it bounds at n.
+    A pool with a non-finite coordinate, ``(1 + eps) * sum(a) >= 2**100``
+    (float32 could overflow) or ``eps < 2**-100`` (``eps**2`` could
+    underflow) is not bounded: every model gets n. Buffers are allocated once,
+    for batches of up to ``_CHUNK`` models; a larger batch is bounded in slices.
+    """
+
+    def __init__(self, src_h: np.ndarray, dst: np.ndarray, epsilon: float):
+        self.n, self.epsilon = len(dst), epsilon
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = np.hstack([src_h, -dst[:, :1] * src_h, -dst[:, 1:] * src_h])
+            self.col_max = np.abs(table).max(axis=0, initial=0.0)
+        total = (1.0 + epsilon) * self.col_max.sum()
+        self.table = table.astype(np.float32) if epsilon >= _BOUND_ATOL and total < _BOUND_RANGE else None
+        self.atol = _BOUND_ATOL * total
+        self.coef = np.empty(27 * _CHUNK, dtype=np.float32)
+        self.planes = np.empty(3 * _TILE_ELEMENTS, dtype=np.float32)
+        self.mask = np.empty(_TILE_ELEMENTS, dtype=bool)
+        self.hits = np.empty(_CHUNK, dtype=np.uint8)
+
+    def __call__(self, models: np.ndarray) -> np.ndarray:
+        """``(c,)`` int64 bounds, each at least ``_support_counts``' count of that model."""
+        c, n = len(models), self.n
+        if self.table is None:
+            return np.full(c, n, dtype=np.int64)
+        if c > _CHUNK:
+            return np.concatenate([self(models[i : i + _CHUNK]) for i in range(0, c, _CHUNK)])
+        top = np.abs(models).max(axis=(1, 2), initial=0.0)
+        _, exp = np.frexp(top)
+        h = np.ldexp(models, -exp[:, None, None]).transpose(1, 2, 0)  # h[r]: row r of every model
+        h[:, :, ~(np.isfinite(top) & (exp >= -600))] = 0.0
+        coef = self.coef[: 27 * c].reshape(3, 9, c)
+        coef.fill(0.0)
+        coef[0, :3], coef[0, 3:6] = h[0], h[2]
+        coef[1, :3], coef[1, 6:] = h[1], h[2]
+        coef[2, :3] = self.epsilon * h[2]
+        mag, a = np.abs(h), self.col_max
+        near, far = a[:3] @ mag, a[3:].reshape(2, 3) @ mag[2]  # (3, c) and (2, c) sums of a_j |h_rj|
+        size = np.maximum(near[0] + far[0], near[1] + far[1]) + self.epsilon * near[2]
+        margin = (_BOUND_RTOL * size + self.atol).astype(np.float32)
+        chunk = min(255, max(1, _TILE_ELEMENTS // max(c, 1)))  # uint8 hit counts per tile
+        hits = self.hits[:c]
+        counts = np.zeros(c, dtype=np.int64)
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            planes = self.planes[: 3 * (hi - lo) * c].reshape(3, hi - lo, c)
+            np.matmul(self.table[lo:hi], coef, out=planes)
+            dx, dy, ew = np.abs(planes, out=planes)
+            np.maximum(dx, dy, out=dx)
+            dx -= ew
+            mask = np.less_equal(dx, margin, out=self.mask[: (hi - lo) * c].reshape(hi - lo, c))
+            counts += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.uint8, out=hits)
+        return counts
+
+
 def ransac_homography(sample_pool, score_pool, w_init: float | None, config: RansacConfig) -> EstimationResult:
     """Adaptive RANSAC with separate sampling and scoring pools (each a Pool or a sequence).
 
@@ -194,6 +289,7 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
     best_support = 0
     best_model: Homography | None = None
     history: list[Improvement] = []
+    bound: _SupportBound | None = None
     it = 0
     # start with small batches: an early improvement often collapses k, and
     # candidates drawn past the collapsed budget are wasted work
@@ -205,7 +301,17 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
             valid &= valid_homography(models.transpose(1, 2, 0))
-        supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
+        if best_support < 4:
+            supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
+        else:
+            # a candidate whose bound is at most best_support cannot improve at its
+            # turn, since best_support only grows during the replay
+            if bound is None:
+                bound = _SupportBound(src_h, f_dst, config.epsilon)
+            rows = np.flatnonzero(valid)
+            rows = rows[bound(models[rows]) > best_support]
+            supports = np.zeros(chunk, dtype=np.int64)
+            supports[rows] = _support_counts(models[rows], valid[rows], src_h, f_dst, config.epsilon)
         for j, sup in enumerate(supports.tolist()):
             if it >= k:
                 break

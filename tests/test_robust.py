@@ -332,6 +332,33 @@ def test_point_chunked_support_counts_match_the_reference(case):
     np.testing.assert_array_equal(got, want)
 
 
+BIG, FAR = 1e150, 1e200
+X_GATE_EDGES = [  # (model, source point, target point, epsilon, expected count)
+    (np.eye(3), (0.0, 0.0), (3.0, 0.0), 3.0, 1),  # dx**2 == epsilon**2, dy == 0: counts
+    (np.eye(3), (0.0, 0.0), (3.0, 1.0), 3.0, 0),  # dx**2 == epsilon**2, dy != 0: does not
+    (np.eye(3), (0.0, 0.0), (0.0, np.nan), 3.0, 0),  # finite x, NaN target y
+    (np.eye(3), (0.0, 0.0), (0.0, np.inf), 3.0, 0),  # finite x, infinite target y
+    ([[0, 0, BIG], [BIG, 0, 0], [0, 0, BIG]], (FAR, 0.0), (1.0, 0.0), 3.0, 0),  # y = +inf
+    ([[0, 0, BIG], [BIG, 0, 0], [0, 0, BIG]], (-FAR, 0.0), (1.0, 0.0), 3.0, 0),  # y = -inf
+    ([[0, 0, BIG], [BIG, BIG, 0], [0, 0, BIG]], (FAR, -FAR), (1.0, 0.0), 3.0, 0),  # y = NaN or inf
+    ([[0, 0, BIG], [0, 0, 0], [0, 0, BIG]], (FAR, -FAR), (1.0, 0.0), 3.0, 1),  # same x and w, y = 0
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], (1.0, 2.0), (0.0, 0.0), 3.0, 0),  # w == 0, finite x
+    ([[0, 0, 0], [0, 1, 0], [0, 0, 0]], (1.0, 2.0), (0.0, 0.0), 3.0, 0),  # w == 0, x == 0
+    (np.eye(3) * 5e-324, (2.4, 0.0), (2.0, 0.0), 0.1, 1),  # subnormal model: x / w rounds to 2, not 2.4
+]
+
+
+def x_gate_edge_args(model, p, q, epsilon):
+    """``_support_counts`` arguments for one model and one point."""
+    return (
+        np.array([model], dtype=float),
+        np.ones(1, dtype=bool),
+        np.array([[p[0], p[1], 1.0]]),
+        np.array([q]),
+        epsilon,
+    )
+
+
 def test_support_counts_at_the_edges_of_the_x_gate():
     """The x gate passes on dx**2 alone; y, w and the sum decide as the reference does.
 
@@ -340,27 +367,8 @@ def test_support_counts_at_the_edges_of_the_x_gate():
     infinity, as the product rounds) while x and w stay finite, with w well
     above the singularity cut.
     """
-    big, far = 1e150, 1e200
-    cases = [  # (model, source point, target point, epsilon, expected count)
-        (np.eye(3), (0.0, 0.0), (3.0, 0.0), 3.0, 1),  # dx**2 == epsilon**2, dy == 0: counts
-        (np.eye(3), (0.0, 0.0), (3.0, 1.0), 3.0, 0),  # dx**2 == epsilon**2, dy != 0: does not
-        (np.eye(3), (0.0, 0.0), (0.0, np.nan), 3.0, 0),  # finite x, NaN target y
-        (np.eye(3), (0.0, 0.0), (0.0, np.inf), 3.0, 0),  # finite x, infinite target y
-        ([[0, 0, big], [big, 0, 0], [0, 0, big]], (far, 0.0), (1.0, 0.0), 3.0, 0),  # y = +inf
-        ([[0, 0, big], [big, 0, 0], [0, 0, big]], (-far, 0.0), (1.0, 0.0), 3.0, 0),  # y = -inf
-        ([[0, 0, big], [big, big, 0], [0, 0, big]], (far, -far), (1.0, 0.0), 3.0, 0),  # y = NaN or inf
-        ([[0, 0, big], [0, 0, 0], [0, 0, big]], (far, -far), (1.0, 0.0), 3.0, 1),  # same x and w, y = 0
-        ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], (1.0, 2.0), (0.0, 0.0), 3.0, 0),  # w == 0, finite x
-        ([[0, 0, 0], [0, 1, 0], [0, 0, 0]], (1.0, 2.0), (0.0, 0.0), 3.0, 0),  # w == 0, x == 0
-    ]
-    for model, p, q, epsilon, expected in cases:
-        args = (
-            np.array([model], dtype=float),
-            np.ones(1, dtype=bool),
-            np.array([[p[0], p[1], 1.0]]),
-            np.array([q]),
-            epsilon,
-        )
+    for model, p, q, epsilon, expected in X_GATE_EDGES:
+        args = x_gate_edge_args(model, p, q, epsilon)
         got = robust._support_counts(*args)
         np.testing.assert_array_equal(got, reference_support_counts(*args))
         assert got.tolist() == [expected], (model, p, q)
@@ -372,21 +380,123 @@ def test_support_counts_of_an_empty_scoring_pool_are_zero():
     np.testing.assert_array_equal(robust._support_counts(*args), reference_support_counts(*args))
 
 
-@pytest.mark.parametrize("seed", [3, 17])
-def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
-    """A capped n=500, w=0.05 solve with perfbench's lowrate noise, new kernel against the reference."""
+def support_bounds(models, src_h, dst, epsilon):
+    return robust._SupportBound(src_h, dst, epsilon)(models)
+
+
+@st.composite
+def bound_cases(draw):
+    """``scoring_case``s, some models scaled to 1e150 and some points moved to 1e200."""
+    models, valid, src_h, dst, epsilon = draw(st.one_of(scoring_cases(), point_chunk_cases()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        models[rng.random(len(models)) < 0.3] *= BIG
+    if draw(st.booleans()):
+        src_h[rng.integers(len(src_h)), rng.integers(2)] = FAR
+    return models, valid, src_h, dst, epsilon
+
+
+def assert_bounds_hold(case):
+    models, _, src_h, dst, epsilon = case
+    bounds = support_bounds(models, src_h, dst, epsilon)
+    counts = robust._support_counts(models, np.ones(len(models), dtype=bool), src_h, dst, epsilon)
+    assert bounds.dtype == np.int64 and bounds.shape == counts.shape
+    assert np.all(bounds >= counts), np.flatnonzero(bounds < counts)
+    assert np.all(bounds <= len(dst))
+
+
+@SCORING
+@given(case=bound_cases())
+def test_support_bound_never_undercounts(case):
+    assert_bounds_hold(case)
+
+
+@pytest.mark.parametrize("model, p, q, epsilon", [edge[:4] for edge in X_GATE_EDGES])
+def test_support_bound_never_undercounts_at_the_edges_of_the_x_gate(model, p, q, epsilon):
+    models, _, src_h, dst, _ = x_gate_edge_args(model, p, q, epsilon)
+    assert_bounds_hold((models, None, src_h, dst, epsilon))
+    assert_bounds_hold((models, None, src_h[:, [1, 0, 2]], dst[:, ::-1], epsilon))  # x and y swapped
+
+
+@SCORING
+@given(case=bound_cases(), power=st.integers(-60, 60))
+def test_power_of_two_scaled_models_get_the_same_bounds(case, power):
+    models, _, src_h, dst, epsilon = case
+    want = support_bounds(models, src_h, dst, epsilon)
+    np.testing.assert_array_equal(support_bounds(np.ldexp(models, power), src_h, dst, epsilon), want)
+
+
+def test_support_bound_holds_beyond_one_batch(rng):
+    """More than ``_CHUNK`` models are bounded in slices."""
+    c = 2 * robust._CHUNK + 1
+    src = rng.uniform(0.0, 640.0, size=(300, 2))
+    dst = src + rng.integers(-5, 6, size=(300, 2))
+    models = np.tile(np.eye(3), (c, 1, 1))
+    models[:, :2, 2] = rng.integers(-5, 6, size=(c, 2))
+    models += rng.normal(0.0, 1e-4, size=(c, 3, 3))
+    src_h = np.column_stack([src, np.ones(len(src))])
+    bounds = support_bounds(models, src_h, dst, 4.0)
+    counts = robust._support_counts(models, np.ones(c, dtype=bool), src_h, dst, 4.0)
+    assert counts.max() > 0 and np.all(bounds >= counts)
+
+
+def test_support_bound_prunes_nothing_where_float32_cannot_hold_the_pool():
+    """Coordinates of 1e200, a non-finite one, or an epsilon of 1e-300 give every model the bound n."""
+    models = np.tile(np.eye(3), (4, 1, 1))
+    src_h = np.column_stack([np.arange(6.0), np.zeros(6), np.ones(6)])
+    dst = src_h[:, :2] + 100.0  # no model has an inlier
+    assert support_bounds(models, src_h, dst, 4.0).tolist() == [0] * 4
+    for far in (FAR, np.inf, np.nan):
+        far_src = src_h.copy()
+        far_src[0, 1] = far
+        assert support_bounds(models, far_src, dst, 4.0).tolist() == [6] * 4
+    assert support_bounds(models, src_h, dst, 1e-300).tolist() == [6] * 4
+
+
+def low_rate_pool(n, w, seed):
+    """A scene with perfbench's lowrate noise."""
     rng = np.random.default_rng(seed)
     spec = SceneSpec(
         truth=random_scene_truth(rng, (640.0, 480.0)),
         image_bounds=(640.0, 480.0),
-        n_total=500,
-        inlier_rate=0.05,
+        n_total=n,
+        inlier_rate=w,
         pixel_noise_sigma=0.5,
         scale_noise_sigma=0.05,
         angle_noise_sigma=0.05,
         seed=seed,
     )
-    pool, _ = generate_scene(spec)
+    return generate_scene(spec)[0]
+
+
+@pytest.mark.parametrize("n, w", [(500, 0.03), (500, 0.05), (500, 0.2), (2000, 0.4)])
+def test_pruned_solve_matches_the_unpruned_solve(monkeypatch, n, w):
+    """Capped solves give the same result, draws, budget and history when the bound prunes nothing."""
+    pool = low_rate_pool(n, w, seed=int(1000 * w) + n)
+    cfg = RansacConfig(max_iterations=10_000, seed=n)
+    scored = []
+    support_counts = robust._support_counts
+
+    def counting(models, *args):
+        scored.append(len(models))
+        return support_counts(models, *args)
+
+    monkeypatch.setattr(robust, "_support_counts", counting)
+    got = ransac_homography(pool, pool, None, cfg)
+    pruned = sum(scored)
+    monkeypatch.setattr(robust._SupportBound, "__call__", lambda self, models: np.full(len(models), self.n + 1))
+    scored.clear()
+    assert result_fingerprint(got) == result_fingerprint(ransac_homography(pool, pool, None, cfg))
+    # past the first batch, scored before any support of 4, few candidates need exact scores;
+    # a solve that ends within its first batch never reaches the bound
+    if len(scored) > 1:
+        assert pruned - scored[0] < 0.05 * (sum(scored) - scored[0])
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
+    """A capped n=500, w=0.05 solve with perfbench's lowrate noise, new kernel against the reference."""
+    pool = low_rate_pool(500, 0.05, seed)
     cfg = RansacConfig(max_iterations=10_000, seed=seed)
 
     got = ransac_homography(pool, pool, None, cfg)

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 61 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 62 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``
 and ``COLUMNS=80``, so help text wraps the same in any terminal.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
@@ -68,6 +68,8 @@ COMMANDS = [
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
     "bench --trials 2 --n 200 --w 0.05,0.4 --pixel-noise 0.5 --scale-noise 0.05 --angle-noise 0.05"
     " --max-iterations 10000 --workers 2",
+    "bench --trials 2 --n 500 --w 0.03,0.05 --methods ransac --max-iterations 10000"
+    " --pixel-noise 0.5 --scale-noise 0.05 --angle-noise 0.05",
     "bench --input a.csv --trials 4 --records-out records.tsv",
     "bench --input unflagged.csv --trials 4",
     "bench --input unflagged.csv --trials 12 --max-iterations 10000",
