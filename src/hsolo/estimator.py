@@ -122,7 +122,7 @@ def _gate_threshold(epsilon_r: float) -> float:
 
 
 def _seed_block(
-    seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float | None = None
+    seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float
 ) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Each seed's gate median and, for a seed that passes the gate, its filtered set.
 
@@ -134,16 +134,16 @@ def _seed_block(
     :func:`~hsolo.geometry.valid_homography` (non-finite or singular) gets
     +inf errors throughout, so it fails every finite gate instead of raising.
 
-    Without ``epsilon_r`` every median is exact and ``filtered`` is all None.
-    With it, ``filtered[i]`` holds the indices of the min(n_f, n) smallest
-    errors, ordered by error and then by index, for each seed with
+    ``filtered[i]`` holds the indices of the min(n_f, n) smallest errors,
+    ordered by error and then by index, for each seed with
     ``medians[i] <= epsilon_r``, and None for the others. The gate is first
     decided by a count: the median is at least the row's value of rank
     (take - 1) // 2 (it is that value for odd take), so a row can pass only
     if more than (take - 1) // 2 of its squared distances lie within
     :func:`_gate_threshold`. Only rows that can pass get exact errors and a
     median; the rest report a +inf median, so every seed passes or fails as
-    in the exact call.
+    with exact medians. At ``epsilon_r = +inf`` the count is skipped: every
+    median is exact and every seed gets its filtered set.
     """
     u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
     # math.cos and math.sin, as single_match_homography takes them, because
@@ -166,32 +166,28 @@ def _seed_block(
     dx -= tx
     dy -= ty
     take = min(n_f, len(u))
-    ranks = {(take - 1) // 2, take // 2}
-    exact = slice(None) if epsilon_r is None else np.arange(len(seeds))
-    if epsilon_r is not None:
-        # the filtered sets cut their candidates at the value of rank take - 1
-        ranks.add(take - 1)
-        threshold = _gate_threshold(epsilon_r)
-        if threshold < math.inf:
-            # a singular sketch's row is left out: its +inf median fails
-            # every finite gate
-            with np.errstate(over="ignore"):
-                np.multiply(dx, dx, out=d2)
-                d2 += dy * dy
-            exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
+    exact = np.arange(len(seeds))
+    threshold = _gate_threshold(epsilon_r)
+    if threshold < math.inf:
+        # a singular sketch's row is left out: its +inf median fails every
+        # finite gate
+        with np.errstate(over="ignore"):
+            np.multiply(dx, dx, out=d2)
+            d2 += dy * dy
+        exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
     errors = np.hypot(dx[exact], dy[exact])
     errors[~ok[exact]] = np.inf
     errors[np.isnan(errors)] = np.inf
-    part = np.partition(errors, sorted(ranks), axis=1)
+    # the median's ranks, and take - 1, where the filtered sets cut their candidates
+    part = np.partition(errors, sorted({(take - 1) // 2, take // 2, take - 1}), axis=1)
     medians = np.full(len(seeds), np.inf)
     medians[exact] = _median_of_smallest(part, take)
     filtered = [None] * len(seeds)
-    if epsilon_r is not None:
-        # every entry tied with the take-th smallest is a candidate; flatnonzero
-        # lists them by index and the stable sort keeps that order among ties
-        for r in np.flatnonzero(medians[exact] <= epsilon_r).tolist():
-            cand = np.flatnonzero(errors[r] <= part[r, take - 1])
-            filtered[exact[r]] = cand[np.argsort(errors[r, cand], kind="stable")[:take]]
+    # every entry tied with the take-th smallest is a candidate; flatnonzero
+    # lists them by index and the stable sort keeps that order among ties
+    for r in np.flatnonzero(medians[exact] <= epsilon_r).tolist():
+        cand = np.flatnonzero(errors[r] <= part[r, take - 1])
+        filtered[exact[r]] = cand[np.argsort(errors[r, cand], kind="stable")[:take]]
     return medians, filtered
 
 
@@ -200,7 +196,8 @@ def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
 
     For every seed, the median error of the min(n_f, len(pool)) pool entries
     ranked best by the seed's similarity sketch; +inf for a seed whose
-    byproducts give no usable sketch. Seeds are evaluated in blocks.
+    byproducts give no usable sketch. Seeds are evaluated in blocks by the
+    walk's own kernel at a gate of +inf, which computes every median exactly.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
@@ -209,7 +206,9 @@ def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
     seeds = as_pool(seeds)
     src, dst = pool_arrays(pool)
     rows = _max_seed_block(len(pool))
-    medians = [_seed_block(seeds[i : i + rows], src, dst, n_f)[0] for i in range(0, len(seeds), rows)]
+    medians = [
+        _seed_block(seeds[i : i + rows], src, dst, n_f, math.inf)[0] for i in range(0, len(seeds), rows)
+    ]
     return np.concatenate(medians) if medians else np.empty(0)
 
 

@@ -127,9 +127,7 @@ def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.n
         out[bad] = rng.integers(0, n, size=(n_bad, s))
 
 
-def _support_counts(
-    models: np.ndarray, valid: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsilon: float
-) -> np.ndarray:
+def _support_counts(models: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsilon: float) -> np.ndarray:
     """Inlier counts of each model over the scoring points.
 
     Points are scored in tiles of about ``_TILE_ELEMENTS`` point x model
@@ -164,7 +162,6 @@ def _support_counts(
             dy = y.ravel()[hit] / wh - v[lo + point]
             inlier = (x.ravel()[hit] + dy * dy <= eps2) & (np.abs(wh) > w_min[model])
             counts += np.bincount(model[inlier], minlength=c)
-    counts[~valid] = 0
     return counts
 
 
@@ -204,7 +201,7 @@ class _SupportBound:
     A pool with a non-finite coordinate, ``(1 + eps) * sum(a) >= 2**100``
     (float32 could overflow) or ``eps < 2**-100`` (``eps**2`` could
     underflow) is not bounded: every model gets n. Buffers are allocated once,
-    for batches of up to ``_CHUNK`` models; a larger batch is bounded in slices.
+    for one batch of at most ``_CHUNK`` models.
     """
 
     def __init__(self, src_h: np.ndarray, dst: np.ndarray, epsilon: float):
@@ -225,8 +222,6 @@ class _SupportBound:
         c, n = len(models), self.n
         if self.table is None:
             return np.full(c, n, dtype=np.int64)
-        if c > _CHUNK:
-            return np.concatenate([self(models[i : i + _CHUNK]) for i in range(0, c, _CHUNK)])
         top = np.abs(models).max(axis=(1, 2), initial=0.0)
         _, exp = np.frexp(top)
         h = np.ldexp(models, -exp[:, None, None]).transpose(1, 2, 0)  # h[r]: row r of every model
@@ -301,17 +296,15 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
             valid &= valid_homography(models.transpose(1, 2, 0))
-        if best_support < 4:
-            supports = _support_counts(models, valid, src_h, f_dst, config.epsilon)
-        else:
+        rows = np.flatnonzero(valid)
+        if best_support >= 4:
             # a candidate whose bound is at most best_support cannot improve at its
             # turn, since best_support only grows during the replay
             if bound is None:
                 bound = _SupportBound(src_h, f_dst, config.epsilon)
-            rows = np.flatnonzero(valid)
             rows = rows[bound(models[rows]) > best_support]
-            supports = np.zeros(chunk, dtype=np.int64)
-            supports[rows] = _support_counts(models[rows], valid[rows], src_h, f_dst, config.epsilon)
+        supports = np.zeros(chunk, dtype=np.int64)
+        supports[rows] = _support_counts(models[rows], src_h, f_dst, config.epsilon)
         for j, sup in enumerate(supports.tolist()):
             if it >= k:
                 break

@@ -259,6 +259,25 @@ def reference_support_counts(models, valid, src_h, dst, epsilon):
     return counts.astype(np.int64)
 
 
+def valid_support_counts(models, valid, src_h, dst, epsilon):
+    """``_support_counts`` as ``ransac_homography`` calls it: valid rows scored in one call, the rest 0."""
+    rows = np.flatnonzero(valid)
+    counts = np.zeros(len(models), dtype=np.int64)
+    counts[rows] = robust._support_counts(models[rows], src_h, dst, epsilon)
+    return counts
+
+
+def check_support_counts(models, valid, src_h, dst, epsilon):
+    """The kernel on every model and on the valid ones against the reference; returns the former."""
+    got = robust._support_counts(models, src_h, dst, epsilon)
+    assert got.dtype == np.int64
+    want = reference_support_counts(models, np.ones(len(models), dtype=bool), src_h, dst, epsilon)
+    np.testing.assert_array_equal(got, want)
+    got_valid = valid_support_counts(models, valid, src_h, dst, epsilon)
+    np.testing.assert_array_equal(got_valid, reference_support_counts(models, valid, src_h, dst, epsilon))
+    return got
+
+
 SCORING = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -285,12 +304,18 @@ def point_chunk_cases(draw):
 
 
 def scoring_case(draw, n, c):
+    """``make_scoring_case`` from a drawn generator seed and threshold: two draws for any c."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return make_scoring_case(rng, n, c, draw(st.sampled_from([1.0, 4.0, 5.0, 1e-3, 1e6])))
+
+
+def make_scoring_case(rng, n, c, epsilon):
     """n points, c models, with w exactly 0 or near the cut, NaN, inf and invalid rows.
 
     Points and translations are integers, so many errors are exact and some
-    land on the threshold (a 3-4-5 offset at epsilon 5).
+    land on the threshold (a 3-4-5 offset at epsilon 5). Every choice comes
+    from ``rng``.
     """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     src = rng.integers(-50, 700, size=(n, 2)).astype(float)
     dst = src + rng.integers(-5, 6, size=2)
     outliers = rng.random(n) < 0.5
@@ -300,16 +325,16 @@ def scoring_case(draw, n, c):
     noisy = rng.random(c) < 0.3
     models[noisy] += rng.normal(0.0, 1e-3, size=(int(noisy.sum()), 3, 3))
     # third row (a, 0, delta - a * x0): w is about delta at a chosen point x0
-    for i in np.flatnonzero(rng.random(c) < 0.3):
-        a = float(rng.integers(1, 4)) * draw(st.sampled_from([1.0, 1e-6]))
-        x0 = src[rng.integers(n), 0]
-        fro = float(np.linalg.norm(models[i]))
-        delta = SINGULARITY_RTOL * fro * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]))
-        models[i, 2] = (a, 0.0, delta - a * x0)
-    for i in np.flatnonzero(rng.random(c) < 0.1):
-        models[i].flat[rng.integers(9)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    cut = np.flatnonzero(rng.random(c) < 0.3)
+    a = rng.integers(1, 4, size=cut.size) * rng.choice([1.0, 1e-6], size=cut.size)
+    x0 = src[rng.integers(n, size=cut.size), 0]
+    fro = np.linalg.norm(models[cut], axis=(1, 2))
+    delta = SINGULARITY_RTOL * fro * rng.choice([0.0, 0.5, 1.0, 2.0, -1.0], size=cut.size)
+    models[cut, 2] = np.column_stack([a, np.zeros(cut.size), delta - a * x0])
+    bad = np.flatnonzero(rng.random(c) < 0.1)
+    entries = rng.integers(9, size=bad.size)
+    models.reshape(c, 9)[bad, entries] = rng.choice([np.nan, np.inf, -np.inf], size=bad.size)
     valid = rng.random(c) < 0.9
-    epsilon = draw(st.sampled_from([1.0, 4.0, 5.0, 1e-3, 1e6]))
     src_h = np.column_stack([src, np.ones(n)])
     return models, valid, src_h, dst, epsilon
 
@@ -317,19 +342,19 @@ def scoring_case(draw, n, c):
 @SCORING
 @given(case=scoring_cases())
 def test_tiled_support_counts_match_the_reference(case):
-    want = reference_support_counts(*case)
-    got = robust._support_counts(*case)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    check_support_counts(*case)
 
 
 @SCORING
 @given(case=point_chunk_cases())
 def test_point_chunked_support_counts_match_the_reference(case):
-    want = reference_support_counts(*case)
-    got = robust._support_counts(*case)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    check_support_counts(*case)
+
+
+def test_support_counts_with_one_point_per_tile():
+    """More models than tile elements: each tile holds one point of every model."""
+    case = make_scoring_case(np.random.default_rng(11), 3, robust._TILE_ELEMENTS + 1, 5.0)
+    assert check_support_counts(*case).max() > 0
 
 
 BIG, FAR = 1e150, 1e200
@@ -368,16 +393,14 @@ def test_support_counts_at_the_edges_of_the_x_gate():
     above the singularity cut.
     """
     for model, p, q, epsilon, expected in X_GATE_EDGES:
-        args = x_gate_edge_args(model, p, q, epsilon)
-        got = robust._support_counts(*args)
-        np.testing.assert_array_equal(got, reference_support_counts(*args))
+        got = check_support_counts(*x_gate_edge_args(model, p, q, epsilon))
         assert got.tolist() == [expected], (model, p, q)
 
 
 def test_support_counts_of_an_empty_scoring_pool_are_zero():
     models = np.tile(np.eye(3), (3, 1, 1))
-    args = (models, np.ones(3, dtype=bool), np.empty((0, 3)), np.empty((0, 2)), 4.0)
-    np.testing.assert_array_equal(robust._support_counts(*args), reference_support_counts(*args))
+    counts = check_support_counts(models, np.ones(3, dtype=bool), np.empty((0, 3)), np.empty((0, 2)), 4.0)
+    assert counts.tolist() == [0] * 3
 
 
 def support_bounds(models, src_h, dst, epsilon):
@@ -386,8 +409,10 @@ def support_bounds(models, src_h, dst, epsilon):
 
 @st.composite
 def bound_cases(draw):
-    """``scoring_case``s, some models scaled to 1e150 and some points moved to 1e200."""
+    """``scoring_case``s cut to one batch, some models scaled to 1e150 and some points moved to 1e200."""
     models, valid, src_h, dst, epsilon = draw(st.one_of(scoring_cases(), point_chunk_cases()))
+    # ransac_homography bounds at most _CHUNK models per call
+    models, valid = models[: robust._CHUNK], valid[: robust._CHUNK]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         models[rng.random(len(models)) < 0.3] *= BIG
@@ -399,7 +424,7 @@ def bound_cases(draw):
 def assert_bounds_hold(case):
     models, _, src_h, dst, epsilon = case
     bounds = support_bounds(models, src_h, dst, epsilon)
-    counts = robust._support_counts(models, np.ones(len(models), dtype=bool), src_h, dst, epsilon)
+    counts = robust._support_counts(models, src_h, dst, epsilon)
     assert bounds.dtype == np.int64 and bounds.shape == counts.shape
     assert np.all(bounds >= counts), np.flatnonzero(bounds < counts)
     assert np.all(bounds <= len(dst))
@@ -426,9 +451,9 @@ def test_power_of_two_scaled_models_get_the_same_bounds(case, power):
     np.testing.assert_array_equal(support_bounds(np.ldexp(models, power), src_h, dst, epsilon), want)
 
 
-def test_support_bound_holds_beyond_one_batch(rng):
-    """More than ``_CHUNK`` models are bounded in slices."""
-    c = 2 * robust._CHUNK + 1
+def test_support_bound_holds_for_a_full_batch(rng):
+    """``_CHUNK`` models, the largest batch ``ransac_homography`` bounds, fill the preallocated buffers."""
+    c = robust._CHUNK
     src = rng.uniform(0.0, 640.0, size=(300, 2))
     dst = src + rng.integers(-5, 6, size=(300, 2))
     models = np.tile(np.eye(3), (c, 1, 1))
@@ -436,7 +461,7 @@ def test_support_bound_holds_beyond_one_batch(rng):
     models += rng.normal(0.0, 1e-4, size=(c, 3, 3))
     src_h = np.column_stack([src, np.ones(len(src))])
     bounds = support_bounds(models, src_h, dst, 4.0)
-    counts = robust._support_counts(models, np.ones(c, dtype=bool), src_h, dst, 4.0)
+    counts = robust._support_counts(models, src_h, dst, 4.0)
     assert counts.max() > 0 and np.all(bounds >= counts)
 
 
@@ -478,6 +503,7 @@ def test_pruned_solve_matches_the_unpruned_solve(monkeypatch, n, w):
     support_counts = robust._support_counts
 
     def counting(models, *args):
+        assert len(models) <= robust._CHUNK
         scored.append(len(models))
         return support_counts(models, *args)
 
@@ -499,8 +525,11 @@ def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
     pool = low_rate_pool(500, 0.05, seed)
     cfg = RansacConfig(max_iterations=10_000, seed=seed)
 
+    def reference(models, *args):
+        return reference_support_counts(models, np.ones(len(models), dtype=bool), *args)
+
     got = ransac_homography(pool, pool, None, cfg)
-    monkeypatch.setattr(robust, "_support_counts", reference_support_counts)
+    monkeypatch.setattr(robust, "_support_counts", reference)
     assert result_fingerprint(got) == result_fingerprint(ransac_homography(pool, pool, None, cfg))
     assert got.iterations_run == 10_000  # the cap: every draw was scored
 

@@ -202,11 +202,11 @@ def test_nan_errors_rank_last_like_infinity():
 
 # --- the gate decided by a count ---------------------------------------------
 #
-# With epsilon_r, _seed_block computes exact errors only for rows whose count
-# of squared distances within the widened threshold exceeds (take - 1) // 2.
-# Every seed must pass or fail as on the one-seed path, a passing seed must
-# get that path's filtered set and median, and a row that cannot pass must
-# report +inf.
+# Below a gate of +inf, _seed_block computes exact errors only for rows whose
+# count of squared distances within the widened threshold exceeds
+# (take - 1) // 2. Every seed must pass or fail as on the one-seed path, a
+# passing seed must get that path's filtered set and median, and a row that
+# cannot pass must report +inf.
 
 GATE_EPSILONS = (1e-300, 1e-160, 20.0, 1e160, math.inf)
 
@@ -215,9 +215,12 @@ def _check_gated_block(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> Non
     errors = [scalar_seed_errors(c, src, dst) for c in seeds]
     want = [_reference_filter(e, n_f) for e in errors]
     want_medians = np.array([median for _, _, median in want])
-    exact_medians, exact_filtered = _seed_block(seeds, src, dst, n_f)
+    # a gate of +inf skips the count: every median is exact and every seed
+    # gets its filtered set
+    exact_medians, exact_filtered = _seed_block(seeds, src, dst, n_f, math.inf)
     assert exact_medians.tobytes() == want_medians.tobytes()
-    assert exact_filtered == [None] * len(seeds)
+    for i, (idx, _, _) in enumerate(want):
+        assert exact_filtered[i].tolist() == idx.tolist(), i
     medians, filtered = _seed_block(seeds, src, dst, n_f, epsilon_r)
     passed = medians <= epsilon_r
     assert passed.tolist() == (want_medians <= epsilon_r).tolist()
@@ -309,7 +312,7 @@ def gated_blocks(draw):
     if not draw(st.booleans()):
         return seeds, pool_src, pool_dst, n_f, draw(st.sampled_from(GATE_EPSILONS))
     with np.errstate(over="ignore", invalid="ignore"):  # far-out points
-        medians = _seed_block(seeds, pool_src, pool_dst, n_f)[0]
+        medians = _seed_block(seeds, pool_src, pool_dst, n_f, math.inf)[0]
     finite = medians[np.isfinite(medians) & (medians > 0.0)]
     if finite.size == 0:
         return seeds, pool_src, pool_dst, n_f, 20.0 * scale

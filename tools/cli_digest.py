@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 62 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 63 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``
 and ``COLUMNS=80``, so help text wraps the same in any terminal.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
@@ -63,6 +63,7 @@ COMMANDS = [
     "calibrate-epsilon-r three.csv",
     "calibrate-epsilon-r empty.csv",
     "calibrate-epsilon-r a.csv --nf 3",
+    "calibrate-epsilon-r extreme.csv",
     "calibrate-epsilon-r c.csv",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 1",
     "bench --trials 3 --n 200 --w 0.05,0.2 --workers 2",
