@@ -100,7 +100,8 @@ class BenchmarkResult:
     notes: tuple[str, ...]
 
 
-def _seed_int(ss: np.random.SeedSequence) -> int:
+def seed_int(ss: np.random.SeedSequence) -> int:
+    """The first 64-bit word of ``ss``: the integer seed a trial, a method or a scene takes from its stream."""
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -130,7 +131,7 @@ def _method_records(pool, methods, configs, streams, w_true, held_out, trial_see
     """Run and evaluate every method on one pool, each on its own seed stream."""
     records = []
     for method in methods:
-        config = replace(configs[method], seed=_seed_int(streams[method]))
+        config = replace(configs[method], seed=seed_int(streams[method]))
         t0 = time.perf_counter()
         try:
             result = (
@@ -147,11 +148,11 @@ def _method_records(pool, methods, configs, streams, w_true, held_out, trial_see
 
 def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, configs) -> list[TrialRecord]:
     ss = np.random.SeedSequence((base_seed, wi, ti))
-    trial_seed = _seed_int(ss)
+    trial_seed = seed_int(ss)
     truth_ss, scene_ss, *method_ss = ss.spawn(4)
     truth = random_scene_truth(np.random.default_rng(truth_ss), sweep.image_bounds)
     try:
-        pool, mask = generate_scene(sweep.spec(truth, w, _seed_int(scene_ss)))
+        pool, mask = generate_scene(sweep.spec(truth, w, seed_int(scene_ss)))
     except InfeasibleSpec:
         return [TrialRecord(m, float("nan"), False, math.inf, 0, 0.0, trial_seed) for m in methods]
     held_out = _held_out_pairs(truth, sweep.image_bounds)
@@ -162,7 +163,7 @@ def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, configs) -> list[Tria
 def _file_trial(pool, held_out, w_true, ti, base_seed, methods, configs):
     ss = np.random.SeedSequence((base_seed, 0, ti))
     streams = dict(zip(METHODS, ss.spawn(4)[2:]))
-    return _method_records(pool, methods, configs, streams, w_true, held_out, _seed_int(ss))
+    return _method_records(pool, methods, configs, streams, w_true, held_out, seed_int(ss))
 
 
 def _usable_cpus() -> int:

@@ -23,6 +23,7 @@ from .bench import (
     format_records,
     format_summary,
     run_benchmark,
+    seed_int,
 )
 from .estimator import HsoloConfig, estimate_epsilon_r, hsolo_estimate, seed_medians
 from .exceptions import HsoloError, NoModelFound
@@ -127,8 +128,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    ss = np.random.SeedSequence(args.seed)
-    truth_ss, scene_ss = ss.spawn(2)
+    truth_ss, scene_ss = np.random.SeedSequence(args.seed).spawn(2)
     if args.truth:
         entries = _parse_float_list(args.truth, "--truth")
         if len(entries) != 9:
@@ -136,7 +136,7 @@ def _cmd_generate(args) -> int:
         truth = Homography(np.array(entries).reshape(3, 3))
     else:
         truth = random_scene_truth(np.random.default_rng(truth_ss), (args.width, args.height))
-    seed = int(scene_ss.generate_state(1, np.uint64)[0])
+    seed = seed_int(scene_ss)
     spec = SceneSpec(truth=truth, n_total=args.n, inlier_rate=args.w, seed=seed, **_scene_fields(args))
     pool, mask = generate_scene(spec)
     save_correspondences(args.output, pool, mask)

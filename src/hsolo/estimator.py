@@ -6,13 +6,13 @@ approximation concentrates inliers near the top, so a small inner RANSAC on
 the best-ranked subset can recover the full model in a handful of draws. The
 outer loop walks seed correspondences of a shuffled pool, uses the median
 filtered error as a cheap gate to skip hopeless seeds, and adapts its
-iteration budget as support improves. Seeds are evaluated in blocks (sketches,
-gate medians and the filtered sets of passing seeds, from one ranking per
-seed, for many seeds in one array pass), then replayed in order, so the
-budget and results are those of a one-at-a-time loop. The winning model is
-polished by a damped Gauss-Newton (Levenberg-Marquardt) pass over its
-inliers, and the whole pool is re-thresholded under the result. Pools are
-taken as a :class:`~hsolo.geometry.Pool` or as a sequence of
+iteration budget as support improves. Seeds are evaluated in blocks (sketches
+and gate medians from one ranking per seed, many seeds per array pass), then
+the passing seeds are replayed in order, each filtered set cut as the walk
+reaches it, so the budget and results are those of a one-at-a-time loop.
+The winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt)
+pass over its inliers, and the whole pool is re-thresholded under the result.
+Pools are taken as a :class:`~hsolo.geometry.Pool` or as a sequence of
 correspondences, converted once by ``as_pool``.
 """
 
@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,12 +123,20 @@ def _gate_threshold(epsilon_r: float) -> float:
     return epsilon_r * epsilon_r * (1.0 + 2.0**-40) + sys.float_info.min
 
 
+def _filtered_set(errors: np.ndarray, part: np.ndarray, take: int) -> np.ndarray:
+    """The ``take`` smallest ``errors``' indices, by error then index; ``part`` is partitioned at take - 1."""
+    # every entry tied with the take-th smallest is a candidate; flatnonzero
+    # lists them by index and the stable sort keeps that order among ties
+    cand = np.flatnonzero(errors <= part[take - 1])
+    return cand[np.argsort(errors[cand], kind="stable")[:take]]
+
+
 def _seed_block(
     seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Each seed's gate median and, for a seed that passes the gate, its filtered set.
+) -> tuple[np.ndarray, Iterator[tuple[int, Callable[[], np.ndarray]]]]:
+    """Each seed's gate median and, for the seeds that pass the gate, a cut for the filtered set.
 
-    Returns ``(medians, filtered)``. A seed's errors are those of every
+    Returns ``(medians, passing)``. A seed's errors are those of every
     ``src -> dst`` pair under the sketch of ``seeds[i]``, bit for bit what
     ``transfer_errors(single_match_homography(seeds[i]).m, src, dst)`` gives,
     except that NaN becomes +inf. ``medians[i]`` is the median of the
@@ -134,16 +144,17 @@ def _seed_block(
     :func:`~hsolo.geometry.valid_homography` (non-finite or singular) gets
     +inf errors throughout, so it fails every finite gate instead of raising.
 
-    ``filtered[i]`` holds the indices of the min(n_f, n) smallest errors,
-    ordered by error and then by index, for each seed with
-    ``medians[i] <= epsilon_r``, and None for the others. The gate is first
+    ``passing`` yields ``(i, cut)`` in order for each seed with
+    ``medians[i] <= epsilon_r``; ``cut()`` returns the indices of the
+    min(n_f, n) smallest errors, ordered by error and then by index, so a
+    set is cut only for a seed the caller reaches. The gate is first
     decided by a count: the median is at least the row's value of rank
     (take - 1) // 2 (it is that value for odd take), so a row can pass only
     if more than (take - 1) // 2 of its squared distances lie within
     :func:`_gate_threshold`. Only rows that can pass get exact errors and a
     median; the rest report a +inf median, so every seed passes or fails as
     with exact medians. At ``epsilon_r = +inf`` the count is skipped: every
-    median is exact and every seed gets its filtered set.
+    median is exact and every seed passes.
     """
     u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
     # math.cos and math.sin, as single_match_homography takes them, because
@@ -182,13 +193,8 @@ def _seed_block(
     part = np.partition(errors, sorted({(take - 1) // 2, take // 2, take - 1}), axis=1)
     medians = np.full(len(seeds), np.inf)
     medians[exact] = _median_of_smallest(part, take)
-    filtered = [None] * len(seeds)
-    # every entry tied with the take-th smallest is a candidate; flatnonzero
-    # lists them by index and the stable sort keeps that order among ties
-    for r in np.flatnonzero(medians[exact] <= epsilon_r).tolist():
-        cand = np.flatnonzero(errors[r] <= part[r, take - 1])
-        filtered[exact[r]] = cand[np.argsort(errors[r, cand], kind="stable")[:take]]
-    return medians, filtered
+    rows = np.flatnonzero(medians[exact] <= epsilon_r).tolist()
+    return medians, ((int(exact[r]), partial(_filtered_set, errors[r], part[r], take)) for r in rows)
 
 
 def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
@@ -370,8 +376,8 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     Sketches and gate medians are computed for a block of upcoming seeds at
     once (16 seeds at first, doubling up to a fixed element budget), with
     exact pool errors only for the seeds that a count of nearby points shows
-    can pass, and each passing seed's filtered set taken from the same
-    partition as its median; then the block is replayed seed by seed, so
+    can pass; then the passing seeds are replayed in order, each filtered set
+    cut from the same partition as its median when the walk reaches it, so
     budget updates, random draws and results are exactly those of evaluating
     one seed at a time. A seed whose byproducts give a non-finite or singular sketch fails
     the gate.
@@ -396,37 +402,34 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
 
     k = outer_budget(1.0 / n)
     best: EstimationResult | None = None
-    best_support = 0
     history: list[Improvement] = []
     it = 0
     max_rows = _max_seed_block(n)
     rows = min(_FIRST_SEED_BLOCK, max_rows)
     while it < min(k, n):
-        lo, hi = it, min(k, n, it + rows)
+        start, hi = it, min(k, n, it + rows)
         rows = min(2 * rows, max_rows)
-        _, filtered = _seed_block(shuffled[lo:hi], src, dst, config.n_f, config.epsilon_r)
+        _, passing = _seed_block(shuffled[start:hi], src, dst, config.n_f, config.epsilon_r)
         # every seed walked draws its inner seed, the same stream as one draw
         # per seed; only the last block draws seeds it does not walk
-        inner_seeds = rng.integers(0, 2**63, size=hi - lo).tolist()
-        # replay in order: an improvement shrinks k before the next seed is
-        # looked at
-        for j in range(hi - lo):
-            if it >= k:
+        inner_seeds = rng.integers(0, 2**63, size=hi - start).tolist()
+        # replay the passing seeds in order: an improvement shrinks k before
+        # the next one is looked at, and a set is cut only for a seed walked
+        for j, cut in passing:
+            if start + j >= k:
                 break
-            inner_seed = inner_seeds[j]
-            it += 1
-            if filtered[j] is None:
-                continue
-            inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seed)
+            it = start + j + 1
+            inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seeds[j])
             try:
-                inner = ransac_homography(shuffled[filtered[j]], shuffled, config.w_f, inner_config)
+                inner = ransac_homography(shuffled[cut()], shuffled, config.w_f, inner_config)
             except NoModelFound:
                 continue
-            if inner.support > best_support:
+            if best is None or inner.support > best.support:
                 best = inner
-                best_support = inner.support
                 k = min(k, outer_budget(min(1.0, inner.support / n)))
                 history.append(Improvement(it, inner.support, k, inner.model))
+        # the seeds after the last one walked fail the gate up to the block's end or the budget
+        it = max(it, min(hi, k))
 
     if best is None:
         raise NoModelFound("no seed correspondence led to a model with support >= 4")

@@ -290,7 +290,7 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
     # candidates drawn past the collapsed budget are wasted work
     batch = 256
     while it < k:
-        chunk = min(batch, k - it)
+        start, chunk = it, min(batch, k - it)
         batch = min(2 * batch, _CHUNK)
         samples = _draw_distinct(rng, ns, config.sample_size, chunk)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -303,22 +303,18 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
             if bound is None:
                 bound = _SupportBound(src_h, f_dst, config.epsilon)
             rows = rows[bound(models[rows]) > best_support]
-        supports = np.zeros(chunk, dtype=np.int64)
-        supports[rows] = _support_counts(models[rows], src_h, f_dst, config.epsilon)
-        for j, sup in enumerate(supports.tolist()):
-            if it >= k:
+        # replay the scored draws in order; a draw left unscored cannot improve
+        for j, sup in zip(rows.tolist(), _support_counts(models[rows], src_h, f_dst, config.epsilon).tolist()):
+            if start + j >= k:
                 break
-            it += 1
             if sup >= 4 and sup > best_support:
-                model = Homography._trusted(models[j])
-                best_support = sup
-                best_model = model
+                it = start + j + 1
+                best_support, best_model = sup, Homography._trusted(models[j])
                 w_hat = min(1.0, sup / ns)
-                k = min(
-                    k,
-                    required_iterations(w_hat, config.sample_size, config.p, config.max_iterations),
-                )
-                history.append(Improvement(it, sup, k, model))
+                k = min(k, required_iterations(w_hat, config.sample_size, config.p, config.max_iterations))
+                history.append(Improvement(it, sup, k, best_model))
+        # the draws after the last improvement run to the batch's end or the budget
+        it = max(it, min(start + chunk, k))
 
     if best_model is None:
         raise NoModelFound("no sampled model reached a support of 4")

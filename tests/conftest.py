@@ -95,7 +95,8 @@ def kernel_filter(errors, n_f: int):
     against targets at offsets (0, e), with a gate that every row passes.
     """
     src, dst = identity_targets([(0.0, e) for e in np.asarray(errors, dtype=float).tolist()])
-    medians, filtered = _seed_block(IDENTITY_SEED, src, dst, n_f, math.inf)
+    medians, passing = _seed_block(IDENTITY_SEED, src, dst, n_f, math.inf)
+    filtered = {i: cut() for i, cut in passing}
     return filtered[0], float(medians[0])
 
 

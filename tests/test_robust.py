@@ -1,8 +1,10 @@
 """Tests for the adaptive RANSAC estimator and its iteration-count formula.
 
 The tiled support-counting kernel is checked against the one-buffer kernel it
-replaced, kept below as ``reference_support_counts``, and the sample drawer
-against the sort-based one, kept as ``reference_draw_distinct``.
+replaced, kept below as ``reference_support_counts``, the sample drawer
+against the sort-based one, kept as ``reference_draw_distinct``, and the
+replay of scored draws against the per-draw loop, kept as
+``reference_ransac_homography``.
 """
 
 import math
@@ -24,7 +26,9 @@ from hsolo import (
     ransac_homography,
     required_iterations,
 )
-from hsolo.geometry import SINGULARITY_RTOL, pool_arrays, transfer_errors
+from hsolo.geometry import SINGULARITY_RTOL, as_pool, pool_arrays, transfer_errors, valid_homography
+from hsolo.robust import EstimationResult, Improvement
+from hsolo.solvers import solve_minimal_batch
 from hsolo.synthetic import SceneSpec, generate_scene, random_scene_truth
 
 from conftest import exact_pool, pool_from_arrays, random_points, random_truth, result_fingerprint
@@ -557,3 +561,113 @@ def test_draw_distinct_matches_the_sort_based_reference(n, count):
         np.testing.assert_array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert all(len(set(row)) == 4 for row in got.tolist())
+
+
+# --- the replay against the loop that gave every draw a slot ------------------
+#
+# ransac_homography replays only the draws it scored. The reference below is
+# the batch loop it replaced, kept verbatim apart from names: every draw of a
+# batch gets a support slot, zero unless scored, and the replay steps through
+# all of them one at a time.
+
+
+def reference_ransac_homography(sample_pool, score_pool, w_init, config: RansacConfig) -> EstimationResult:
+    """Same batches, draws and bound; a per-draw ``it += 1`` replay over zero-filled supports."""
+    sample_pool, score_pool = as_pool(sample_pool), as_pool(score_pool)
+    ns = len(sample_pool)
+    if w_init is None:
+        w_init = min(1.0, config.sample_size / ns)
+    s_src, s_dst = pool_arrays(sample_pool)
+    f_src, f_dst = pool_arrays(score_pool)
+    src_h = np.column_stack([f_src, np.ones(len(score_pool))])
+
+    rng = np.random.default_rng(config.seed)
+    k = required_iterations(w_init, config.sample_size, config.p, config.max_iterations)
+    best_support = 0
+    best_model = None
+    history = []
+    bound = None
+    it = 0
+    batch = 256
+    while it < k:
+        chunk = min(batch, k - it)
+        batch = min(2 * batch, robust._CHUNK)
+        samples = robust._draw_distinct(rng, ns, config.sample_size, chunk)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
+            valid &= valid_homography(models.transpose(1, 2, 0))
+        rows = np.flatnonzero(valid)
+        if best_support >= 4:
+            if bound is None:
+                bound = robust._SupportBound(src_h, f_dst, config.epsilon)
+            rows = rows[bound(models[rows]) > best_support]
+        supports = np.zeros(chunk, dtype=np.int64)
+        supports[rows] = robust._support_counts(models[rows], src_h, f_dst, config.epsilon)
+        for j, sup in enumerate(supports.tolist()):
+            if it >= k:
+                break
+            it += 1
+            if sup >= 4 and sup > best_support:
+                model = Homography._trusted(models[j])
+                best_support = sup
+                best_model = model
+                w_hat = min(1.0, sup / ns)
+                k = min(k, required_iterations(w_hat, config.sample_size, config.p, config.max_iterations))
+                history.append(Improvement(it, sup, k, model))
+
+    if best_model is None:
+        raise NoModelFound("no sampled model reached a support of 4")
+    model, inlier_idx = robust._consensus_refit(best_model, score_pool, f_src, f_dst, config.epsilon)
+    return EstimationResult(model, inlier_idx, int(inlier_idx.size), it, k, 0.0, tuple(history))
+
+
+def _ransac_outcome(fn, *args):
+    try:
+        return result_fingerprint(fn(*args))
+    except NoModelFound:
+        return "NoModelFound"
+
+
+def _replays_agree(cases) -> int:
+    """Assert both loops agree on every ``(sample_pool, score_pool, w_init, config)``.
+
+    Returns how many solves ended with ``k_final < iterations_run``: an
+    improvement cut the budget below the draws already made.
+    """
+    budget_cut = 0
+    for args in cases:
+        want = _ransac_outcome(reference_ransac_homography, *args)
+        assert _ransac_outcome(ransac_homography, *args) == want, args[3]
+        budget_cut += want != "NoModelFound" and want[4] < want[3]
+    return budget_cut
+
+
+@pytest.mark.parametrize("w", [0.03, 0.05])
+def test_capped_replay_matches_the_reference(w):
+    pool = low_rate_pool(500, w, seed=int(1000 * w) + 7)
+    _replays_agree([(pool, pool, None, RansacConfig(max_iterations=10_000, seed=s)) for s in (1, 2)])
+
+
+def test_plain_replay_matches_the_reference():
+    cases = []
+    for n in (200, 500, 2000):
+        pool = low_rate_pool(n, 0.4, seed=n + 1)
+        cases += [(pool, pool, None, RansacConfig(seed=s)) for s in range(4)]
+    assert _replays_agree(cases) >= 1
+
+
+def test_inner_style_replay_matches_the_reference():
+    """A 21-row sample pool, 15 inliers and 6 outliers, scored on the whole scene as hsolo's inner search is."""
+    rng = np.random.default_rng(21)
+    truth = random_scene_truth(rng, (640.0, 480.0))
+    spec = SceneSpec(
+        truth=truth, image_bounds=(640.0, 480.0), n_total=500, inlier_rate=0.2,
+        pixel_noise_sigma=0.5, scale_noise_sigma=0.05, angle_noise_sigma=0.05, seed=21,
+    )
+    pool, mask = generate_scene(spec)
+    cases = []
+    for s in range(10):
+        inliers = rng.choice(np.flatnonzero(mask), 15, replace=False)
+        rows = np.concatenate([inliers, rng.choice(np.flatnonzero(~mask), 6, replace=False)])
+        cases.append((pool[rng.permutation(rows)], pool, 0.7, RansacConfig(seed=s)))
+    assert _replays_agree(cases) >= 1

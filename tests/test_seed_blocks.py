@@ -23,6 +23,7 @@ from hsolo import (
     SingularMatrix,
     hsolo_estimate,
 )
+from hsolo import estimator
 from hsolo.estimator import _polish, _seed_block, seed_medians
 from hsolo.geometry import Pool, as_pool, pool_arrays, transfer_errors
 from hsolo.robust import EstimationResult, Improvement, RansacConfig, ransac_homography, required_iterations
@@ -217,18 +218,20 @@ def _check_gated_block(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> Non
     want_medians = np.array([median for _, _, median in want])
     # a gate of +inf skips the count: every median is exact and every seed
     # gets its filtered set
-    exact_medians, exact_filtered = _seed_block(seeds, src, dst, n_f, math.inf)
+    exact_medians, exact_passing = _seed_block(seeds, src, dst, n_f, math.inf)
+    exact_filtered = {i: cut() for i, cut in exact_passing}
     assert exact_medians.tobytes() == want_medians.tobytes()
     for i, (idx, _, _) in enumerate(want):
         assert exact_filtered[i].tolist() == idx.tolist(), i
-    medians, filtered = _seed_block(seeds, src, dst, n_f, epsilon_r)
+    medians, passing = _seed_block(seeds, src, dst, n_f, epsilon_r)
+    filtered = {i: cut() for i, cut in passing}
     passed = medians <= epsilon_r
     assert passed.tolist() == (want_medians <= epsilon_r).tolist()
     for i, (idx, _, median) in enumerate(want):
         if passed[i]:
             assert filtered[i].tolist() == idx.tolist() and medians[i] == median, i
         else:
-            assert filtered[i] is None, i
+            assert i not in filtered, i
     # where squares are far from underflow and overflow, a row that cannot
     # pass (fewer than (take - 1) // 2 + 1 errors near epsilon_r) is +inf
     if 1e-140 <= epsilon_r <= 1e140:
@@ -329,3 +332,54 @@ def test_gated_block_decides_every_seed_as_the_exact_block(case):
     seeds, src, dst, n_f, epsilon_r = case
     with np.errstate(over="ignore", invalid="ignore"):  # far-out points
         _check_gated_block(seeds, src, dst, n_f, epsilon_r)
+
+
+# --- filtered sets are cut lazily ---------------------------------------------
+#
+# _seed_block hands the walk a cut for each passing seed instead of the set,
+# so a set is cut only for a seed the walk reaches: seed_medians cuts none,
+# and hsolo_estimate cuts one per inner RANSAC call.
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_seed_medians_cuts_no_filtered_set(monkeypatch):
+    pool = noisy_pool(200, 0.4, 5)
+    cuts = _count_calls(monkeypatch, estimator, "_filtered_set")
+    medians = seed_medians(pool, pool, 21)
+    assert np.all(medians <= math.inf)  # every seed passes a gate of +inf
+    assert cuts == []
+
+
+def test_walk_cuts_one_filtered_set_per_inner_search(monkeypatch):
+    passed = []
+    seed_block = estimator._seed_block
+
+    def counting_block(seeds, src, dst, n_f, epsilon_r):
+        medians, passing = seed_block(seeds, src, dst, n_f, epsilon_r)
+        passed.append(int(np.count_nonzero(medians <= epsilon_r)))
+        return medians, passing
+
+    monkeypatch.setattr(estimator, "_seed_block", counting_block)
+    cuts = _count_calls(monkeypatch, estimator, "_filtered_set")
+    inner = _count_calls(monkeypatch, estimator, "ransac_homography")
+    total_cuts = 0
+    for w, n in [(0.4, 500), (0.2, 500), (0.05, 2000)]:
+        for seed in range(3):
+            cuts.clear()
+            inner.clear()
+            result = hsolo_estimate(noisy_pool(n, w, n + round(100 * w)), HsoloConfig(seed=seed))
+            assert len(cuts) == len(inner) >= len(result.history) >= 1, (w, n, seed)
+            total_cuts += len(cuts)
+    # some walks stopped before seeds that their last block had passed
+    assert sum(passed) > total_cuts

@@ -129,7 +129,8 @@ def sketch_seeds(draw):
 @given(seeds=st.lists(sketch_seeds(), min_size=1, max_size=8))
 def test_seed_block_rows_follow_single_match_homography(seeds):
     # a gate of +inf hands every seed its filtered set
-    medians, filtered = _seed_block(as_pool(seeds), _SRC, _DST, 21, math.inf)
+    medians, passing = _seed_block(as_pool(seeds), _SRC, _DST, 21, math.inf)
+    filtered = {i: cut() for i, cut in passing}
     np.testing.assert_array_equal(seed_medians(seeds, _POOL, 21), medians)
     for i, c in enumerate(seeds):
         idx, _, median = _reference_filter(scalar_seed_errors(c, _SRC, _DST), 21)

@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 63 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 64 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``
 and ``COLUMNS=80``, so help text wraps the same in any terminal.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
@@ -53,6 +53,7 @@ COMMANDS = [
     "solve points.csv --method ransac",
     "solve points.csv",
     "solve extreme.csv",
+    "solve extreme.csv --epsilon-r inf",
     "solve empty.csv --method ransac",
     "solve empty.csv",
     "solve missing.csv",
