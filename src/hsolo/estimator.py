@@ -418,17 +418,17 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
         for j, cut in passing:
             if start + j >= k:
                 break
-            it = start + j + 1
             inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seeds[j])
             try:
                 inner = ransac_homography(shuffled[cut()], shuffled, config.w_f, inner_config)
             except NoModelFound:
                 continue
             if best is None or inner.support > best.support:
+                it = start + j + 1
                 best = inner
                 k = min(k, outer_budget(min(1.0, inner.support / n)))
                 history.append(Improvement(it, inner.support, k, inner.model))
-        # the seeds after the last one walked fail the gate up to the block's end or the budget
+        # the seeds after the last improvement run to the block's end or the budget
         it = max(it, min(hi, k))
 
     if best is None:

@@ -92,23 +92,21 @@ def valid_homography(m):
     return det * det > _RTOL_SQUARED * (fro2 * fro2 * fro2)
 
 
-def _canonicalize(m: np.ndarray) -> tuple[np.ndarray, float]:
+def _canonicalize(m: np.ndarray) -> np.ndarray:
     """Scale a 3x3 matrix into its canonical projective representation.
 
     When the (3,3) entry is significant the matrix is scaled so that entry is
     exactly 1. Otherwise it is scaled to unit Frobenius norm with the first
     significant entry positive. Idempotent down to the bit level: an already
-    canonical matrix passes through unchanged. Returns the canonical matrix
-    and its Frobenius norm.
+    canonical matrix passes through unchanged.
     """
     fro = float(np.linalg.norm(m))
     if fro == 0.0:
         raise ValueError("homography entries are all zero")
     if abs(m[2, 2]) > SINGULARITY_RTOL * fro:
         s = m[2, 2]
-        if s == 1.0:
-            return m, fro
-        m = m / s
+        if s != 1.0:
+            m = m / s
     else:
         if abs(fro - 1.0) > SINGULARITY_RTOL:
             m = m / fro
@@ -117,7 +115,7 @@ def _canonicalize(m: np.ndarray) -> tuple[np.ndarray, float]:
                 if entry < 0.0:
                     m = -m
                 break
-    return m, float(np.linalg.norm(m))
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,26 +138,25 @@ class Homography:
             raise ValueError(f"homography must be 3x3 or flat 9, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("homography entries must be finite")
-        arr, fro = _canonicalize(arr)
+        arr = _canonicalize(arr)
         if not valid_homography(arr.tolist()):
             det = float(np.linalg.det(arr))
             raise SingularMatrix(f"homography is singular to tolerance (det={det:.3e})")
-        self._freeze(arr, fro)
+        self._freeze(arr)
 
     @classmethod
     def _trusted(cls, m: np.ndarray) -> "Homography":
         """A copy of a 3x3 matrix that :func:`valid_homography` passed, canonical but not re-tested."""
         h = cls.__new__(cls)
-        h._freeze(*_canonicalize(np.array(m, dtype=float)))
+        h._freeze(_canonicalize(np.array(m, dtype=float)))
         return h
 
-    def _freeze(self, arr: np.ndarray, fro: float) -> None:
+    def _freeze(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "m", arr)
-        object.__setattr__(self, "_fro", fro)
 
     def __setstate__(self, state) -> None:  # unpickled arrays come back writeable
-        self._freeze(state["m"], state["_fro"])
+        self._freeze(state["m"])
 
     @classmethod
     def identity(cls) -> "Homography":
@@ -208,7 +205,7 @@ def project(h: Homography, p: Point2) -> Point2:
     below tolerance, i.e. the point maps (numerically) to the line at infinity.
     """
     x, y, w = apply_homogeneous(h.m.tolist(), p.u, p.v)
-    if abs(w) <= SINGULARITY_RTOL * h._fro:
+    if abs(w) <= SINGULARITY_RTOL * np.linalg.norm(h.m):
         raise DegenerateProjection(f"point ({p.u}, {p.v}) maps to the line at infinity")
     return Point2(x / w, y / w)
 

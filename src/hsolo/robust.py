@@ -335,16 +335,14 @@ def _consensus_refit(
     model: Homography, score_pool: Pool, f_src: np.ndarray, f_dst: np.ndarray, epsilon: float
 ) -> tuple[Homography, np.ndarray]:
     """Refit on all scoring-pool inliers; keep the original if that degrades support."""
-    errs = transfer_errors(model.m, f_src, f_dst)
-    idx = np.flatnonzero(errs <= epsilon)
-    if idx.size >= 4:
-        try:
-            refit = dlt_solve(score_pool[idx])
-        except (DegenerateConfiguration, IllConditioned, SingularMatrix):
-            refit = None
-        if refit is not None:
-            errs2 = transfer_errors(refit.m, f_src, f_dst)
-            idx2 = np.flatnonzero(errs2 <= epsilon)
-            if idx2.size >= idx.size:
-                return refit, idx2
+    idx = np.flatnonzero(transfer_errors(model.m, f_src, f_dst) <= epsilon)
+    if idx.size < 4:
+        return model, idx
+    try:
+        refit = dlt_solve(score_pool[idx])
+    except (DegenerateConfiguration, IllConditioned, SingularMatrix):
+        return model, idx
+    refit_idx = np.flatnonzero(transfer_errors(refit.m, f_src, f_dst) <= epsilon)
+    if refit_idx.size >= idx.size:
+        return refit, refit_idx
     return model, idx

@@ -108,8 +108,8 @@ def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     rms = math.sqrt(float(np.mean(np.sum(centered**2, axis=1))))
-    if rms == 0.0:
-        raise DegenerateConfiguration("collinear source triple or coincident points")
+    if rms == 0.0:  # dlt_solve rejects coincident sources before this, so only targets get here
+        raise DegenerateConfiguration("all target points coincide")
     s = math.sqrt(2.0) / rms
     t = np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
     return centered * s, t

@@ -5,17 +5,21 @@ their callers look them up through (``TARGETS``). A cleanup that drops one of
 those imports would break traced benchmark runs with an ``AttributeError``;
 this test catches it in the unit suite instead. The benchmark also compares
 a loaded pool with the generated one and splits it into point arrays; the
-second test runs those steps as it does.
+second test runs those steps as it does. The last test runs the benchmark's
+own self-test, which runs every workload's first operations untraced and
+traced and requires the same results.
 """
 
 import importlib
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_targets() -> dict:
@@ -69,3 +73,12 @@ def test_file_round_trip_as_the_benchmark_does_it(tmp_path):
     assert src.shape == dst.shape == (120, 2)
     np.testing.assert_array_equal(src, want_src)
     np.testing.assert_array_equal(dst, want_dst)
+
+
+def test_benchmark_selftest_passes():
+    """``python3 perfbench/selftest.py`` from the checkout root, as the benchmark's docs run it."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest passed" in proc.stdout

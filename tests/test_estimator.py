@@ -19,6 +19,7 @@ from hsolo import (
     NoModelFound,
     Point2,
     Refinement,
+    SingularMatrix,
     estimate_epsilon_r,
     hsolo_estimate,
     project,
@@ -214,6 +215,73 @@ class TestRefineModel:
         ref = refine_model(perm, pool)
         assert ref.degraded
         np.testing.assert_array_equal(ref.model.m, perm.m)
+
+    @staticmethod
+    def _assert_unrefined(ref, h):
+        """Refinement could not run: the input comes back, flagged, at its own cost."""
+        assert ref.degraded and ref.model is h
+        assert ref.final_cost == ref.initial_cost
+
+    def _perturbed_start(self, rng):
+        truth = random_truth(rng)
+        pool = exact_pool(truth, random_points(rng, 25))
+        m = truth.m.copy()
+        m[:2, :] *= 1.0 + rng.uniform(-1e-3, 1e-3, size=(2, 3))
+        return Homography(m), pool
+
+    def test_inlier_on_the_line_at_infinity_marks_degraded(self, rng):
+        # source (-100, 5) has w = 0.01 * -100 + 1 = 0: its residual is not finite
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.01, 0.0, 1.0]]))
+        src = np.array([(p.u, p.v) for p in random_points(rng, 8)] + [(-100.0, 5.0)])
+        dst = project_points(h.m, src[:8])
+        pool = pool_from_arrays(src, np.vstack([dst, [(300.0, 200.0)]]))
+        ref = refine_model(h, pool)
+        self._assert_unrefined(ref, h)
+        assert ref.iterations == 0
+
+    def test_failed_first_solve_marks_degraded(self, rng, monkeypatch):
+        h, pool = self._perturbed_start(rng)
+
+        def failing_solve(a, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        ref = refine_model(h, pool)
+        self._assert_unrefined(ref, h)
+        assert ref.iterations == 1
+
+    def test_failed_later_solve_keeps_the_lower_cost(self, rng, monkeypatch):
+        h, pool = self._perturbed_start(rng)
+        real_solve, calls = np.linalg.solve, []
+
+        def solve_once(a, b):
+            calls.append(a)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_once)
+        ref = refine_model(h, pool)
+        assert len(calls) == 2 and ref.iterations == 2
+        assert not ref.degraded and ref.model is not h
+        assert ref.final_cost < ref.initial_cost
+        src, dst = pool_arrays(pool)
+        np.testing.assert_allclose(np.sum(transfer_errors(ref.model.m, src, dst) ** 2), ref.final_cost, rtol=1e-9)
+
+    @pytest.mark.parametrize("error", [SingularMatrix, ValueError])
+    def test_rejected_refined_matrix_marks_degraded(self, rng, monkeypatch, error):
+        h, pool = self._perturbed_start(rng)
+        built = []
+
+        def rejecting_homography(m):
+            built.append(m)
+            raise error("rejected")
+
+        monkeypatch.setattr(estimator, "Homography", rejecting_homography)
+        ref = refine_model(h, pool)
+        assert len(built) == 1 and built[0][8] == 1.0  # the refined chart, h9 = 1
+        self._assert_unrefined(ref, h)
+        assert ref.iterations >= 1
 
 
 @pytest.mark.parametrize(

@@ -124,7 +124,7 @@ class TestDltSolve:
     def test_coincident_targets_are_degenerate(self, rng, n):
         src = np.array([(p.u, p.v) for p in random_points(rng, n)])
         dst = np.tile([(200.0, 150.0)], (n, 1))
-        with pytest.raises(DegenerateConfiguration):
+        with pytest.raises(DegenerateConfiguration, match="all target points coincide"):
             dlt_solve(pool_from_arrays(src, dst))
 
     def test_collinear_target_triple_is_singular(self):

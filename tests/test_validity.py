@@ -67,7 +67,7 @@ def test_scalar_and_batch_decisions_agree_with_the_reference(ms):
     for m, in_batch in zip(stack, batch.tolist()):
         assert valid_homography(m.tolist()) == in_batch
         try:
-            canonical, _ = _canonicalize(m)
+            canonical = _canonicalize(m)
         except ValueError:  # all entries zero, or too small to square
             continue
         decision = valid_homography(canonical.tolist())

@@ -4,16 +4,22 @@ Usage::
 
     python tools/solve_digest.py SRC_DIR
 
-Imports ``hsolo`` from ``SRC_DIR`` (a checkout's ``src``) and solves one
+Imports ``hsolo`` from ``SRC_DIR`` (a checkout's ``src``) and solves
 fixed scenes with noise (pixel 0.5, scale 0.05, angle 0.05) for each n in
 {200, 500, 2000} and w in {0.03, 0.05, 0.1, 0.2, 0.4}, four per cell. Prints one line
 per group: a sha256 over every result of the group, then the group's name.
 The groups are ``hsolo_estimate`` at seeds 0 and 1, ``ransac_homography``
-capped at 10,000 draws, and ``seed_medians`` of each pool against itself. A
-result's fingerprint holds the model's bytes, the inlier indices, the
-support, ``iterations_run``, ``k_final`` and the history; a solve that raises
-``NoModelFound`` digests as that name. Two checkouts give the same lines
-exactly when these results agree bit for bit::
+capped at 10,000 draws, ``seed_medians`` of each pool against itself, and
+the filtered sets of every seed at a gate of +inf. The last group calls the
+private kernel ``hsolo.estimator._seed_block`` on each pool against itself,
+in blocks of ``_max_seed_block(n)`` seeds, with ``tools/cli_digest.py``'s two
+extreme byproduct rows (an overflowing sketch and a singular one) inserted in
+the middle of the pool; it hashes each seed's position and ``cut()``. Those
+two seeds' errors are all +inf, so their sets are pure tie order, which no
+solve and no command line reaches. A result's fingerprint holds the model's
+bytes, the inlier indices, the support, ``iterations_run``, ``k_final`` and
+the history; a solve that raises ``NoModelFound`` digests as that name. Two
+checkouts give the same lines exactly when these results agree bit for bit::
 
     diff <(python tools/solve_digest.py OLD/src) <(python tools/solve_digest.py src)
 
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -35,6 +42,13 @@ NOISE = (0.5, 0.05, 0.05)
 BOUNDS = (640.0, 480.0)
 RANSAC_DRAWS = 10_000
 SCENES_PER_CELL = 4
+N_F = 21
+# tools/cli_digest.py's extreme.csv rows: a 1e-200 -> 1e+200 scale ratio
+# (the sketch overflows) and a 1/200 one (the sketch is singular)
+EXTREME_ROWS = (
+    (100.0, 120.0, 1e-200, 0.3, 300.0, 200.0, 1e200, -0.2),
+    (100.0, 120.0, 40.0, 0.3, 300.0, 200.0, 0.2, -0.2),
+)
 
 
 def _scenes():
@@ -61,6 +75,21 @@ def _fingerprint(result) -> bytes:
     return repr(fields).encode()
 
 
+def _inf_gate_cuts(pool, digest) -> None:
+    """Feed each seed's ``(position, filtered set)`` at a gate of +inf, extreme rows inserted, to ``digest``."""
+    from hsolo.estimator import _max_seed_block, _seed_block
+    from hsolo.geometry import Pool, pool_arrays
+
+    mid = len(pool) // 2
+    seeds = Pool(np.vstack([pool.rows[:mid], EXTREME_ROWS, pool.rows[mid:]]))
+    src, dst = pool_arrays(seeds)
+    rows = _max_seed_block(len(seeds))
+    for i in range(0, len(seeds), rows):
+        _, passing = _seed_block(seeds[i : i + rows], src, dst, N_F, math.inf)
+        for j, cut in passing:
+            digest.update((i + j).to_bytes(8, "little") + cut().tobytes())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -80,7 +109,8 @@ def main(argv: list[str]) -> int:
             pool, pool, None, RansacConfig(max_iterations=RANSAC_DRAWS, seed=0)
         ),
     }
-    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21"]}
+    inf_cuts = "seed_block cuts n_f=21 epsilon_r=inf, extreme rows"
+    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", inf_cuts]}
     for label, pool in _scenes():
         cell = label.encode() + b"\n"
         for name, solve in solvers.items():
@@ -89,7 +119,9 @@ def main(argv: list[str]) -> int:
             except NoModelFound:
                 data = b"NoModelFound"
             digests[name].update(cell + data)
-        digests["seed_medians n_f=21"].update(cell + seed_medians(pool, pool, 21).tobytes())
+        digests["seed_medians n_f=21"].update(cell + seed_medians(pool, pool, N_F).tobytes())
+        digests[inf_cuts].update(cell)
+        _inf_gate_cuts(pool, digests[inf_cuts])
     for name, digest in digests.items():
         print(f"{digest.hexdigest()}  {name}", flush=True)
     return 0
