@@ -80,7 +80,7 @@ class SceneSweep:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Aggregate over the executed trials of one (method, inlier rate) cell."""
+    """Aggregate over the executed trials of one (method, inlier rate) cell; ``skipped`` counts the rest."""
 
     method: str
     w_target: float
@@ -154,7 +154,7 @@ def _synthetic_trial(sweep, w, wi, ti, base_seed, methods, configs) -> list[Tria
     try:
         pool, mask = generate_scene(sweep.spec(truth, w, seed_int(scene_ss)))
     except InfeasibleSpec:
-        return [TrialRecord(m, float("nan"), False, math.inf, 0, 0.0, trial_seed) for m in methods]
+        return []
     held_out = _held_out_pairs(truth, sweep.image_bounds)
     streams = dict(zip(METHODS, method_ss))
     return _method_records(pool, methods, configs, streams, float(mask.mean()), held_out, trial_seed)
@@ -190,7 +190,7 @@ def _run_trials(trial_fn, args_list, workers: int) -> list:
         return list(pool.map(trial_fn, *zip(*args_list)))
 
 
-def _summarize(method, w_target, records, trials, skipped) -> SummaryRow:
+def _summarize(method, w_target, records, trials) -> SummaryRow:
     records = [r for r in records if r.method == method]
     executed = len(records)
     successes = sum(1 for r in records if r.success)
@@ -199,7 +199,7 @@ def _summarize(method, w_target, records, trials, skipped) -> SummaryRow:
         method=method,
         w_target=w_target,
         trials=trials,
-        skipped=skipped,
+        skipped=trials - executed,
         successes=successes,
         success_rate=successes / executed if executed else math.nan,
         median_iterations=float(np.median([r.iterations for r in records])) if executed else math.nan,
@@ -247,10 +247,11 @@ def run_benchmark(
 
     The single-correspondence method is skipped (with a note) at inlier rates
     where the expected true-inlier count c fails c / n_f >= w_f, since its
-    filtered-set assumption cannot hold there. Point-only files can only run
-    the plain RANSAC baseline: the seeded method raises
-    :class:`~hsolo.exceptions.FileFormatError` on them. Files without a
-    ground-truth column report ``median_error`` as NaN.
+    filtered-set assumption cannot hold there. A synthetic trial whose scene
+    is infeasible runs no method and leaves no record, with a note per rate.
+    Point-only files can only run the plain RANSAC baseline: the seeded
+    method raises :class:`~hsolo.exceptions.FileFormatError` on them. Files
+    without a ground-truth column report ``median_error`` as NaN.
     """
     methods = list(methods)
     if not methods:
@@ -286,11 +287,6 @@ def _runnable(methods, c, configs, notes, what) -> list:
     return [m for m in methods if m != "hsolo"]
 
 
-def _summaries(methods, run_methods, w, records, trials) -> list[SummaryRow]:
-    """One row per method; a method left out of ``run_methods`` skipped every trial."""
-    return [_summarize(m, w, records, trials, 0 if m in run_methods else trials) for m in methods]
-
-
 def _run_synthetic(sweep, methods, trials, configs, seed, workers) -> BenchmarkResult:
     notes: list[str] = []
     rates = []  # (w, methods run at w)
@@ -305,9 +301,12 @@ def _run_synthetic(sweep, methods, trials, configs, seed, workers) -> BenchmarkR
     records: list[TrialRecord] = []
     summary: list[SummaryRow] = []
     for w, run_methods in rates:
-        batch = [rec for _ in range(trials) for rec in next(batches)] if run_methods else []
+        trial_batches = [next(batches) for _ in range(trials)] if run_methods else []
+        if infeasible := trial_batches.count([]):
+            notes.append(f"{infeasible} of {trials} scenes at w={w} are infeasible")
+        batch = [rec for b in trial_batches for rec in b]
         records.extend(batch)
-        summary.extend(_summaries(methods, run_methods, w, batch, trials))
+        summary.extend(_summarize(m, w, batch, trials) for m in methods)
     return BenchmarkResult(tuple(records), tuple(summary), tuple(notes))
 
 
@@ -330,9 +329,9 @@ def _run_file(loaded, methods, trials, configs, seed, workers) -> BenchmarkResul
     args = [(pool, held_out, w_true, ti, seed, run_methods, configs) for ti in range(trials)]
     batches = _run_trials(_file_trial, args, workers) if run_methods else []
     records = [rec for batch in batches for rec in batch]
-    if mask is None and records:
+    if mask is None:
         records = _cluster_success(records, run_methods)
-    summary = _summaries(methods, run_methods, w_true, records, trials)
+    summary = [_summarize(m, w_true, records, trials) for m in methods]
     if mask is None:
         # held-out errors span every row, outliers included: a clustering key, not a fit error
         summary = [replace(row, median_error=math.nan) for row in summary]

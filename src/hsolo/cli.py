@@ -55,8 +55,10 @@ def _add_estimator_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _hsolo_config(args) -> HsoloConfig:
-    return HsoloConfig(
+def _configs(args) -> dict:
+    # HsoloConfig first: RansacConfig checks a subset of its values by the same tests,
+    # so a bad flag fails there, with the same message, whichever method runs
+    hsolo = HsoloConfig(
         epsilon=args.epsilon,
         p=args.p,
         w_f=args.wf,
@@ -66,15 +68,13 @@ def _hsolo_config(args) -> HsoloConfig:
         max_outer_iterations=args.max_iterations,
         seed=args.seed,
     )
-
-
-def _ransac_config(args) -> RansacConfig:
-    return RansacConfig(
+    ransac = RansacConfig(
         epsilon=args.epsilon,
         p=args.p,
         max_iterations=args.max_iterations,
         seed=args.seed,
     )
+    return {"hsolo": hsolo, "ransac": ransac}
 
 
 class _SceneFlag(argparse.Action):
@@ -105,20 +105,16 @@ def _scene_fields(args) -> dict:
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(f) for f in text.split(","))
+        return tuple(float(f) for f in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} expects a comma-separated list of numbers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} must not be empty")
-    return values
 
 
 def _cmd_solve(args) -> int:
     loaded = load_correspondences(args.input)
     seeded = args.method == "hsolo"
     pool = loaded.byproduct_pool() if seeded else loaded.correspondences
-    h_cfg = _hsolo_config(args)  # for either method: it checks every estimator flag, as in bench
-    config = h_cfg if seeded else _ransac_config(args)
+    config = _configs(args)[args.method]
     result = hsolo_estimate(pool, config) if seeded else ransac_homography(pool, pool, None, config)
     if args.output:
         save_result(args.output, result, config, include_timing=args.timing)
@@ -145,8 +141,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    h_cfg = _hsolo_config(args)
-    r_cfg = _ransac_config(args)
+    configs = _configs(args)
     if args.input:
         if args.scene_flags:
             raise ValueError(f"{args.scene_flags[0]} sets synthetic scenes; it does not apply to --input")
@@ -159,8 +154,8 @@ def _cmd_bench(args) -> int:
         source,
         methods,
         args.trials,
-        h_cfg,
-        r_cfg,
+        configs["hsolo"],
+        configs["ransac"],
         seed=args.seed,
         workers=args.workers,
     )

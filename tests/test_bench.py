@@ -31,6 +31,8 @@ from hsolo.geometry import Pool
 
 FAST_HSOLO = HsoloConfig(max_outer_iterations=10_000, seed=0)
 FAST_RANSAC = RansacConfig(max_iterations=10_000, seed=0)
+# 20 px tall frames: 1 of the 3 scenes of seed 0 at w=0.2 cannot be built
+SHORT_FRAMES = SceneSweep((640.0, 20.0), 100, (0.2,))
 
 
 def summary_cell(result, method, w):
@@ -65,12 +67,33 @@ class TestSyntheticSweep:
             assert row.median_error < 2.0
 
     def test_summary_agrees_with_records(self):
-        sweep = SceneSweep((640.0, 480.0), 300, (0.2, 0.4))
-        res = run_benchmark(sweep, ["ransac"], 5, FAST_HSOLO, FAST_RANSAC, seed=2)
-        for row in res.summary:
-            recs = [r for r in res.records if r.method == row.method and r.w_true == row.w_target]
-            assert row.successes == sum(r.success for r in recs)
-            assert row.trials == len(recs)
+        cases = [
+            (SceneSweep((640.0, 480.0), 300, (0.2, 0.4)), ["ransac"], 5, 2),
+            (SHORT_FRAMES, ["hsolo", "ransac"], 3, 0),
+        ]
+        for sweep, methods, trials, seed in cases:
+            res = run_benchmark(sweep, methods, trials, FAST_HSOLO, FAST_RANSAC, seed=seed)
+            for row in res.summary:
+                recs = [r for r in res.records if r.method == row.method and r.w_true == row.w_target]
+                assert row.successes == sum(r.success for r in recs)
+                assert row.trials == trials
+                assert row.trials - row.skipped == len(recs)
+
+    def test_infeasible_scene_runs_no_method_and_leaves_no_record(self):
+        infeasible = 1
+        runs = [
+            run_benchmark(SHORT_FRAMES, ["hsolo", "ransac"], 3, FAST_HSOLO, FAST_RANSAC, seed=0, workers=w)
+            for w in (1, 2)
+        ]
+        res = runs[0]
+        assert not any(math.isnan(r.w_true) for r in res.records)
+        for method in ("hsolo", "ransac"):
+            row = summary_cell(res, method, 0.2)
+            assert row.skipped == infeasible
+            assert row.trials - row.skipped == sum(r.method == method for r in res.records)
+        assert res.notes == (f"{infeasible} of 3 scenes at w=0.2 are infeasible",)
+        assert format_records(runs[1].records) == format_records(res.records)
+        assert format_summary(runs[1]) == format_summary(res)
 
     def test_infeasible_rate_skips_seeded_method(self):
         # c = round(100 * 0.05) = 5 expected true inliers; 5 / 21 < 0.7.

@@ -421,6 +421,19 @@ class TestTheory:
         assert capsys.readouterr().out.splitlines()[1].split("\t")[1] == "4"
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [(["bench", "--trials", "1", "--n", "100", "--w", "0.1,abc"], "--w", "0.1,abc"),
+     (["theory", "--n-values", ""], "--n-values", "")],
+)
+def test_bad_number_list_is_bad_input(capsys, argv, flag, text):
+    # an empty value fails as a list with one empty entry
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} expects a comma-separated list of numbers, got {text!r}\n"
+
+
 class TestCalibrate:
     def test_reports_suggested_threshold(self, scene_file, capsys):
         rc = main(["calibrate-epsilon-r", str(scene_file)])

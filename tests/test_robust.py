@@ -91,6 +91,10 @@ class TestRequiredIterations:
     def test_vanishing_rate_hits_cap(self):
         assert required_iterations(1e-12, 4, 0.95) == 10_000_000
 
+    def test_underflowing_rate_returns_the_cap(self):
+        # w**n is 0.0 in floating point, so log(1 - w**n) is 0: the cap, not a division by zero
+        assert required_iterations(1e-100, 4, 0.95, 77) == 77
+
     def test_validation(self):
         with pytest.raises(ValueError):
             required_iterations(0.0, 4, 0.95)
@@ -102,6 +106,8 @@ class TestRequiredIterations:
             required_iterations(0.5, 4, 1.0)
         with pytest.raises(ValueError):
             required_iterations(0.5, 4, 0.0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            required_iterations(0.5, 4, 0.95, 0)
 
 
 class TestRansacConfig:

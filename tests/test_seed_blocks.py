@@ -151,6 +151,12 @@ def test_seed_block_errors_and_medians_match_scalar_path():
     np.testing.assert_array_equal(seed_medians(pool, pool, 20), want)
 
 
+def test_seed_medians_rejects_an_empty_filtered_set():
+    pool = noisy_pool(50, 0.4, 3)
+    with pytest.raises(ValueError, match="n_f must be >= 1, got 0"):
+        seed_medians(pool, pool, 0)
+
+
 def test_seed_block_follows_homography_at_its_limits():
     # scale ratios across the determinant cut-off, coordinates past the
     # canonical-scaling switch, and ratios that underflow or overflow

@@ -10,6 +10,7 @@ from hsolo import (
     Correspondence,
     DegenerateConfiguration,
     Homography,
+    IllConditioned,
     Point2,
     SingularMatrix,
     as_pool,
@@ -145,6 +146,14 @@ class TestDltSolve:
         )
         with pytest.raises(DegenerateConfiguration):
             dlt_solve(pool)
+
+    @pytest.mark.parametrize("scatter, error", [(1e-6, IllConditioned), (1e-7, DegenerateConfiguration)])
+    def test_nearly_collinear_cloud(self, scatter, error):
+        # six points along a 100 px line, every other one moved off it by ``scatter`` px:
+        # enough spread to pass the area check at 1e-6, but not a trustworthy design matrix
+        pts = [Point2(20.0 * i, 50.0 + scatter * (i % 2)) for i in range(6)]
+        with pytest.raises(error):
+            dlt_solve(exact_pool(Homography.identity(), pts))
 
 
 class TestSolveMinimalBatch:

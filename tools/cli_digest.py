@@ -4,7 +4,7 @@ Usage::
 
     python tools/cli_digest.py SRC_DIR
 
-Runs 64 ``python -m hsolo`` commands, in order, in a fresh temporary
+Runs 65 ``python -m hsolo`` commands, in order, in a fresh temporary
 directory, with ``SRC_DIR`` (a checkout's ``src``) first on ``PYTHONPATH``
 and ``COLUMNS=80``, so help text wraps the same in any terminal.
 Prints one line per command: a sha256 over its stdout, stderr, exit code and
@@ -91,6 +91,7 @@ COMMANDS = [
     "bench --n 5 --trials 1 --w 0.2",
     "bench --width 0 --trials 1 --n 100 --w 0.2",
     "bench --angle-noise nan --trials 1 --n 100 --w 0.2 --workers 2",
+    "bench --trials 3 --n 100 --w 0.2 --height 20",
     "theory",
     "theory --w 0.01,0.1 --n-values 4,7",
     "generate --help",
