@@ -7,9 +7,10 @@ the best-ranked subset can recover the full model in a handful of draws. The
 outer loop walks seed correspondences of a shuffled pool, uses the median
 filtered error as a cheap gate to skip hopeless seeds, and adapts its
 iteration budget as support improves. Seeds are evaluated in blocks (sketches
-and gate medians from one ranking per seed, many seeds per array pass), then
-the passing seeds are replayed in order, each filtered set cut as the walk
-reaches it, so the budget and results are those of a one-at-a-time loop.
+and gate medians from one ranking per seed, many seeds per array pass), the
+inner searches of a block's passing seeds run together, and then the seeds
+are replayed in order, so the budget and results are those of a
+one-at-a-time loop.
 The winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt)
 pass over its inliers, and the whole pool is re-thresholded under the result.
 Pools are taken as a :class:`~hsolo.geometry.Pool` or as a sequence of
@@ -37,10 +38,16 @@ from .robust import (
     EstimationResult,
     Improvement,
     RansacConfig,
-    ransac_homography,
+    Replay,
+    _consensus_refit,
+    _run_searches,
+    _ScorePool,
+    _Search,
     required_iterations,
 )
-# single_match_homography is not called here: perfbench's tracer wraps this module attribute
+# ransac_homography and single_match_homography are not called here: perfbench's
+# tracer wraps these module attributes
+from .robust import ransac_homography  # noqa: F401
 from .solvers import similarity_sketch, single_match_homography  # noqa: F401
 
 
@@ -147,7 +154,7 @@ def _seed_block(
     ``passing`` yields ``(i, cut)`` in order for each seed with
     ``medians[i] <= epsilon_r``; ``cut()`` returns the indices of the
     min(n_f, n) smallest errors, ordered by error and then by index, so a
-    set is cut only for a seed the caller reaches. The gate is first
+    set is cut only for a seed the caller asks for. The gate is first
     decided by a count: the median is at least the row's value of rank
     (take - 1) // 2 (it is that value for odd take), so a row can pass only
     if more than (take - 1) // 2 of its squared distances lie within
@@ -376,11 +383,13 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     Sketches and gate medians are computed for a block of upcoming seeds at
     once (16 seeds at first, doubling up to a fixed element budget), with
     exact pool errors only for the seeds that a count of nearby points shows
-    can pass; then the passing seeds are replayed in order, each filtered set
-    cut from the same partition as its median when the walk reaches it, so
-    budget updates, random draws and results are exactly those of evaluating
-    one seed at a time. A seed whose byproducts give a non-finite or singular sketch fails
-    the gate.
+    can pass. Each passing seed's filtered set is cut from the same partition
+    as its median, and the block's inner searches draw their first batches
+    (each from the seed's own stream), solve and score them together. Then
+    the seeds are replayed in order, a found model refit only when the walk
+    reaches its seed, so budget updates, random draws and results are
+    exactly those of evaluating one seed at a time. A seed whose byproducts
+    give a non-finite or singular sketch fails the gate.
 
     Raises :class:`NoModelFound` when no seed passes the gate or no inner
     RANSAC reaches a support of 4.
@@ -395,52 +404,55 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     perm = rng.permutation(n)
     shuffled = pool[perm]
     src, dst = pool_arrays(shuffled)
+    scorer = _ScorePool(src, dst, config.epsilon)
+    inner_config = RansacConfig(epsilon=config.epsilon, p=config.p)
 
     def outer_budget(w: float) -> int:
         scaled = min(1.0, w * config.inlier_scaling)
         return required_iterations(scaled, 1, config.p, config.max_outer_iterations)
 
-    k = outer_budget(1.0 / n)
-    best: EstimationResult | None = None
+    walk = Replay(outer_budget(1.0 / n))
+    best: tuple[Homography, np.ndarray] | None = None  # the best seed's model and inlier indices
     history: list[Improvement] = []
-    it = 0
     max_rows = _max_seed_block(n)
     rows = min(_FIRST_SEED_BLOCK, max_rows)
-    while it < min(k, n):
-        start, hi = it, min(k, n, it + rows)
+    while walk.it < min(walk.k, n):
+        start, hi = walk.it, min(walk.k, n, walk.it + rows)
         rows = min(2 * rows, max_rows)
         _, passing = _seed_block(shuffled[start:hi], src, dst, config.n_f, config.epsilon_r)
         # every seed walked draws its inner seed, the same stream as one draw
         # per seed; only the last block draws seeds it does not walk
         inner_seeds = rng.integers(0, 2**63, size=hi - start).tolist()
-        # replay the passing seeds in order: an improvement shrinks k before
-        # the next one is looked at, and a set is cut only for a seed walked
+        # every passing seed is within the budget at the block's start (hi <= k),
+        # and its search draws from its own stream, so what it finds does not
+        # depend on the walk: all of them run together
+        searches = {}
         for j, cut in passing:
-            if start + j >= k:
-                break
-            inner_config = RansacConfig(epsilon=config.epsilon, p=config.p, seed=inner_seeds[j])
-            try:
-                inner = ransac_homography(shuffled[cut()], shuffled, config.w_f, inner_config)
-            except NoModelFound:
-                continue
-            if best is None or inner.support > best.support:
-                it = start + j + 1
-                best = inner
-                k = min(k, outer_budget(min(1.0, inner.support / n)))
-                history.append(Improvement(it, inner.support, k, inner.model))
-        # the seeds after the last improvement run to the block's end or the budget
-        it = max(it, min(hi, k))
+            filtered = cut()
+            searches[j] = _Search(np.random.default_rng(inner_seeds[j]), src[filtered], dst[filtered],
+                                  config.w_f, inner_config)
+        _run_searches(list(searches.values()), scorer)
+        # replay the found models (each search's last improvement, as drawn) in
+        # order, each refit when the walk reaches it: an improvement shrinks k
+        # before the next one is looked at
+        found = [(j, s.improvements[-1][3]) for j, s in searches.items() if s.improvements]
+        for j, drawn in walk.block(start, hi, found):
+            model, idx = _consensus_refit(Homography._trusted(drawn), shuffled, src, dst, config.epsilon)
+            if best is None or idx.size > best[1].size:
+                best = model, idx
+                walk.improve(start + j + 1, outer_budget(min(1.0, idx.size / n)))
+                history.append(Improvement(walk.it, idx.size, walk.k, model))
 
     if best is None:
         raise NoModelFound("no seed correspondence led to a model with support >= 4")
 
-    model, inlier_idx = _polish(best.model, best.inlier_indices, shuffled, src, dst, config.epsilon)
+    model, inlier_idx = _polish(*best, shuffled, src, dst, config.epsilon)
     return EstimationResult(
         model=model,
         inlier_indices=np.sort(perm[inlier_idx]),
         support=int(inlier_idx.size),
-        iterations_run=it,
-        k_final=k,
+        iterations_run=walk.it,
+        k_final=walk.k,
         elapsed=time.perf_counter() - t0,
         history=tuple(history),
     )

@@ -140,7 +140,9 @@ class Homography:
             raise ValueError("homography entries must be finite")
         arr = _canonicalize(arr)
         if not valid_homography(arr.tolist()):
-            det = float(np.linalg.det(arr))
+            # LAPACK's det can warn on subnormal entries; the message needs no warning
+            with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+                det = float(np.linalg.det(arr))
             raise SingularMatrix(f"homography is singular to tolerance (det={det:.3e})")
         self._freeze(arr)
 

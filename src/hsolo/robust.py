@@ -5,15 +5,18 @@ samples are drawn from ``sample_pool`` while support is always counted against
 ``score_pool``. With both pools equal this is the standard adaptive RANSAC.
 
 Candidate models are evaluated in batches for speed, then replayed in
-iteration order, so an improvement found at iteration i still tightens the
-budget seen by iteration i + 1 exactly as in a one-at-a-time loop. A batch
+iteration order by one rule (``Replay``), so an improvement found at
+iteration i still tightens the budget seen by iteration i + 1 exactly as in
+a one-at-a-time loop. Several searches over one scoring pool can draw,
+solve and score their first batches together, as hsolo's inner searches
+do, and each still ends as it would alone. A batch
 is scored in cache-sized tiles of points, and only the elements whose squared
 x error alone is within the threshold go on to the y error, the singularity
 test and the count. Once a model has a support of 4, each batch is first
 bounded in float32 (``_SupportBound``), and only the candidates whose bound
 beats the best support so far are scored exactly. All randomness comes from
 a single generator seeded by the config, which makes runs with the same
-inputs and seed reproducible.
+inputs and seed reproducible; searches run together each keep their own.
 """
 
 from __future__ import annotations
@@ -250,6 +253,142 @@ class _SupportBound:
         return counts
 
 
+class Replay:
+    """The one replay rule of a batched adaptive search: iterations run ``it`` and budget ``k``.
+
+    RANSAC's draws, hsolo's inner draws and hsolo's walk of seeds are each
+    evaluated a block at a time and then replayed in order, so that each
+    gives the results of a one-at-a-time loop. :meth:`block` yields a
+    block's candidates up to the first one at or past ``k``; the caller
+    reports an improvement with :meth:`improve`, which sets ``it`` and
+    shrinks ``k`` before the next candidate is looked at; after the block,
+    ``it`` moves on to the block's end or the budget, whichever comes first.
+    """
+
+    __slots__ = ("it", "k")
+
+    def __init__(self, k: int):
+        self.it, self.k = 0, k
+
+    def block(self, start: int, end: int, rows):
+        """Yield the ``(j, item)`` pairs of ``rows`` (ascending offsets j from ``start``) that are within the budget.
+
+        The caller consumes every pair: the end-of-block step runs when the
+        iteration ends.
+        """
+        for j, item in rows:
+            if start + j >= self.k:
+                break
+            yield j, item
+        self.it = max(self.it, min(end, self.k))
+
+    def improve(self, it: int, k: int) -> None:
+        """An improvement at 1-based iteration ``it`` whose own budget is ``k``."""
+        self.it = it
+        self.k = min(self.k, k)
+
+
+class _ScorePool:
+    """A scoring pool's points as the scoring kernels take them, with its support bound built at first use."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, epsilon: float):
+        self.src_h = np.column_stack([src, np.ones(len(src))])
+        self.dst, self.epsilon = dst, epsilon
+        self._bound: _SupportBound | None = None
+
+    def counts(self, models: np.ndarray) -> np.ndarray:
+        return _support_counts(models, self.src_h, self.dst, self.epsilon)
+
+    def bound(self, models: np.ndarray) -> np.ndarray:
+        if self._bound is None:
+            self._bound = _SupportBound(self.src_h, self.dst, self.epsilon)
+        return self._bound(models)
+
+
+def _solve(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Models of a batch of (c, 4, 2) samples and the mask of those that are valid homographies."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        models, valid = solve_minimal_batch(src, dst)
+        valid &= valid_homography(models.transpose(1, 2, 0))
+    return models, valid
+
+
+class _Search:
+    """One adaptive RANSAC search: its draws, its budget and its best model so far.
+
+    Draws are 4-samples of the sample points ``s_src -> s_dst`` from
+    ``rng``; a degenerate sample consumes its iteration. The budget starts
+    from ``w_init`` and is re-derived from support / len(s_src) at each
+    improvement, never increasing. Batches start at 256 draws, because an
+    early improvement often collapses k and candidates drawn past the
+    collapsed budget are wasted work, and double up to ``_CHUNK``. Each
+    improvement is kept as ``(iteration, support, k_after, model)`` with the
+    model as drawn: a caller that needs only the last one makes only that
+    a :class:`Homography`.
+    """
+
+    def __init__(self, rng: np.random.Generator, s_src: np.ndarray, s_dst: np.ndarray, w_init: float,
+                 config: RansacConfig):
+        self.rng, self.s_src, self.s_dst, self.config = rng, s_src, s_dst, config
+        self.walk = Replay(required_iterations(w_init, config.sample_size, config.p, config.max_iterations))
+        self.batch = 256
+        self.best_support = 0
+        self.improvements: list[tuple[int, int, int, np.ndarray]] = []
+
+    def draw(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """The next batch: ``(start, end, src, dst)``, its iterations and its (c, 4, 2) samples."""
+        start = self.walk.it
+        end = start + min(self.batch, self.walk.k - start)
+        self.batch = min(2 * self.batch, _CHUNK)
+        samples = _draw_distinct(self.rng, len(self.s_src), self.config.sample_size, end - start)
+        return start, end, self.s_src[samples], self.s_dst[samples]
+
+    def replay(self, start: int, end: int, rows: np.ndarray, supports: np.ndarray, models: np.ndarray) -> None:
+        """Replay a batch's scored draws (offsets ``rows``, in order); a draw left unscored cannot improve."""
+        cfg = self.config
+        for j, sup in self.walk.block(start, end, zip(rows.tolist(), supports.tolist())):
+            if sup >= 4 and sup > self.best_support:
+                self.best_support = sup
+                w_hat = min(1.0, sup / len(self.s_src))
+                self.walk.improve(start + j + 1, required_iterations(w_hat, cfg.sample_size, cfg.p, cfg.max_iterations))
+                self.improvements.append((self.walk.it, sup, self.walk.k, models[j]))
+
+    def run(self, scorer: _ScorePool) -> None:
+        """Draw, solve, score and replay batches until the budget is spent."""
+        while self.walk.it < self.walk.k:
+            start, end, src, dst = self.draw()
+            models, valid = _solve(src, dst)
+            rows = np.flatnonzero(valid)
+            if self.best_support >= 4:
+                # a candidate whose bound is at most best_support cannot improve at its
+                # turn, since best_support only grows during the replay
+                rows = rows[scorer.bound(models[rows]) > self.best_support]
+            self.replay(start, end, rows, scorer.counts(models[rows]), models)
+
+
+def _run_searches(searches: list[_Search], scorer: _ScorePool) -> None:
+    """Run fresh searches over one scoring pool, their first batches drawn, solved and scored together.
+
+    Each search ends as if run alone: its draws come from its own
+    generator, the solver and the scorer treat every sample on its own, and
+    a first batch has no best support to bound. A search whose budget
+    outlasts its first batch then continues on its own.
+    """
+    if not searches:
+        return
+    batches = [s.draw() for s in searches]
+    models, valid = _solve(np.concatenate([b[2] for b in batches]), np.concatenate([b[3] for b in batches]))
+    rows = np.flatnonzero(valid)
+    supports = scorer.counts(models[rows])
+    offsets = np.cumsum([0] + [end - start for start, end, _, _ in batches]).tolist()
+    cuts = np.searchsorted(rows, offsets).tolist()
+    for i, (search, (start, end, _, _)) in enumerate(zip(searches, batches)):
+        lo, hi = offsets[i], offsets[i + 1]
+        mine = slice(cuts[i], cuts[i + 1])
+        search.replay(start, end, rows[mine] - lo, supports[mine], models[lo:hi])
+        search.run(scorer)
+
+
 def ransac_homography(sample_pool, score_pool, w_init: float | None, config: RansacConfig) -> EstimationResult:
     """Adaptive RANSAC with separate sampling and scoring pools (each a Pool or a sequence).
 
@@ -274,60 +413,22 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
     if not 0.0 < w_init <= 1.0:
         raise ValueError(f"w_init must be in (0, 1], got {w_init}")
 
-    s_src, s_dst = pool_arrays(sample_pool)
     f_src, f_dst = pool_arrays(score_pool)
-    src_h = np.column_stack([f_src, np.ones(len(score_pool))])
-
-    rng = np.random.default_rng(config.seed)
-    k = required_iterations(w_init, config.sample_size, config.p, config.max_iterations)
-
-    best_support = 0
-    best_model: Homography | None = None
-    history: list[Improvement] = []
-    bound: _SupportBound | None = None
-    it = 0
-    # start with small batches: an early improvement often collapses k, and
-    # candidates drawn past the collapsed budget are wasted work
-    batch = 256
-    while it < k:
-        start, chunk = it, min(batch, k - it)
-        batch = min(2 * batch, _CHUNK)
-        samples = _draw_distinct(rng, ns, config.sample_size, chunk)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            models, valid = solve_minimal_batch(s_src[samples], s_dst[samples])
-            valid &= valid_homography(models.transpose(1, 2, 0))
-        rows = np.flatnonzero(valid)
-        if best_support >= 4:
-            # a candidate whose bound is at most best_support cannot improve at its
-            # turn, since best_support only grows during the replay
-            if bound is None:
-                bound = _SupportBound(src_h, f_dst, config.epsilon)
-            rows = rows[bound(models[rows]) > best_support]
-        # replay the scored draws in order; a draw left unscored cannot improve
-        for j, sup in zip(rows.tolist(), _support_counts(models[rows], src_h, f_dst, config.epsilon).tolist()):
-            if start + j >= k:
-                break
-            if sup >= 4 and sup > best_support:
-                it = start + j + 1
-                best_support, best_model = sup, Homography._trusted(models[j])
-                w_hat = min(1.0, sup / ns)
-                k = min(k, required_iterations(w_hat, config.sample_size, config.p, config.max_iterations))
-                history.append(Improvement(it, sup, k, best_model))
-        # the draws after the last improvement run to the batch's end or the budget
-        it = max(it, min(start + chunk, k))
-
-    if best_model is None:
+    search = _Search(np.random.default_rng(config.seed), *pool_arrays(sample_pool), w_init, config)
+    search.run(_ScorePool(f_src, f_dst, config.epsilon))
+    if not search.improvements:
         raise NoModelFound("no sampled model reached a support of 4")
 
-    model, inlier_idx = _consensus_refit(best_model, score_pool, f_src, f_dst, config.epsilon)
+    history = tuple(Improvement(it, sup, k, Homography._trusted(m)) for it, sup, k, m in search.improvements)
+    model, inlier_idx = _consensus_refit(history[-1].model, score_pool, f_src, f_dst, config.epsilon)
     return EstimationResult(
         model=model,
         inlier_indices=inlier_idx,
         support=int(inlier_idx.size),
-        iterations_run=it,
-        k_final=k,
+        iterations_run=search.walk.it,
+        k_final=search.walk.k,
         elapsed=time.perf_counter() - t0,
-        history=tuple(history),
+        history=history,
     )
 
 

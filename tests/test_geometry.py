@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ class TestHomographyConstruction:
             Homography(np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]]))
         with pytest.raises(ValueError):
             Homography(np.zeros((3, 3)))
+
+    def test_rejects_a_subnormal_matrix_without_warning(self):
+        # LAPACK's determinant of this canonical matrix divides by zero
+        m = [[-1.0, 1e-300, -1.0], [0.0, 0.0, -1.0], [1e-300, 5e-324, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SingularMatrix):
+                Homography(m)
 
     def test_unit_norm_fallback_when_last_entry_vanishes(self):
         # A nonsingular projective map whose bottom-right entry is exactly zero.

@@ -142,6 +142,37 @@ def test_block_loop_matches_reference_bit_for_bit(w, n):
     assert found > 0
 
 
+# Inner budgets other than the default's single batch of 11 draws. At
+# w_f=0.3 a search's budget starts at 369 draws, past the first batch of 256,
+# and on the n=2000 pools some searches need more than that batch; on the
+# last two pools, such a search's later batches change the result. p=0.99
+# gives 17-draw budgets, and n_f=12 smaller filtered sets. The last config
+# gives one-draw searches on 5-row filtered sets, where duplicated matches
+# often leave a search without a single valid draw; its walks are long, so
+# it skips the n=2000 pools.
+@pytest.mark.parametrize(
+    "overrides, max_n",
+    [({"w_f": 0.3}, 2000), ({"p": 0.99}, 2000), ({"n_f": 12}, 2000), ({"w_f": 0.95, "p": 0.5, "n_f": 5}, 500)],
+    ids=["w_f=0.3", "p=0.99", "n_f=12", "one-draw"],
+)
+def test_block_loop_matches_reference_with_other_inner_budgets(overrides, max_n):
+    cases = [
+        (w, n, 100 * n + round(100 * w) + seed, seed, duplicated)
+        for w, n in ((0.03, 2000), (0.05, 2000), (0.05, 500), (0.2, 500), (0.4, 200), (0.2, 12))
+        for seed, duplicated in ((1, False), (2, True))
+    ]
+    found = 0
+    for w, n, pool_seed, seed, duplicated in cases + [(0.03, 2000, 0, 1, False), (0.05, 2000, 2, 2, False)]:
+        if n > max_n:
+            continue
+        pool = noisy_pool(n, w, pool_seed, duplicated)
+        config = HsoloConfig(seed=seed, **overrides)
+        want = _outcome(reference_hsolo_estimate, pool, config)
+        assert _outcome(hsolo_estimate, pool, config) == want, (w, n, pool_seed, seed)
+        found += want != "NoModelFound"
+    assert found > 0
+
+
 def test_seed_block_errors_and_medians_match_scalar_path():
     pool = noisy_pool(200, 0.2, 7, duplicated=True)
     src, dst = pool_arrays(pool)
@@ -342,9 +373,10 @@ def test_gated_block_decides_every_seed_as_the_exact_block(case):
 
 # --- filtered sets are cut lazily ---------------------------------------------
 #
-# _seed_block hands the walk a cut for each passing seed instead of the set,
-# so a set is cut only for a seed the walk reaches: seed_medians cuts none,
-# and hsolo_estimate cuts one per inner RANSAC call.
+# _seed_block hands the walk a cut for each passing seed instead of the set:
+# seed_medians cuts none, and hsolo_estimate cuts one for each passing seed of
+# a block, whose inner searches run together before the walk replays them.
+# Seeds cut for a block that the walk then stops short of are speculative.
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -368,24 +400,45 @@ def test_seed_medians_cuts_no_filtered_set(monkeypatch):
 
 
 def test_walk_cuts_one_filtered_set_per_inner_search(monkeypatch):
-    passed = []
+    blocks = []  # per block: how many seeds passed, and the positions of the seeds cut
     seed_block = estimator._seed_block
 
-    def counting_block(seeds, src, dst, n_f, epsilon_r):
+    def recording_block(seeds, src, dst, n_f, epsilon_r):
         medians, passing = seed_block(seeds, src, dst, n_f, epsilon_r)
-        passed.append(int(np.count_nonzero(medians <= epsilon_r)))
-        return medians, passing
+        start = sum(size for size, _, _ in blocks)
+        cut_at = []
+        blocks.append((len(seeds), int(np.count_nonzero(medians <= epsilon_r)), cut_at))
 
-    monkeypatch.setattr(estimator, "_seed_block", counting_block)
+        def recorded(j, cut):
+            def call():
+                cut_at.append(start + j)
+                return cut()
+
+            return call
+
+        return medians, ((j, recorded(j, cut)) for j, cut in passing)
+
+    monkeypatch.setattr(estimator, "_seed_block", recording_block)
     cuts = _count_calls(monkeypatch, estimator, "_filtered_set")
-    inner = _count_calls(monkeypatch, estimator, "ransac_homography")
-    total_cuts = 0
+    searches = _count_calls(monkeypatch, estimator, "_Search")
+    speculative = 0
     for w, n in [(0.4, 500), (0.2, 500), (0.05, 2000)]:
         for seed in range(3):
+            blocks.clear()
             cuts.clear()
-            inner.clear()
+            searches.clear()
             result = hsolo_estimate(noisy_pool(n, w, n + round(100 * w)), HsoloConfig(seed=seed))
-            assert len(cuts) == len(inner) >= len(result.history) >= 1, (w, n, seed)
-            total_cuts += len(cuts)
+            cut_at = [p for _, _, block_cuts in blocks for p in block_cuts]
+            assert len(cuts) == len(searches) == len(cut_at) == len(set(cut_at)), (w, n, seed)
+            # every seed of a block is within the budget at the block's start,
+            # and only passing seeds are cut
+            for _, passed, block_cuts in blocks:
+                assert len(block_cuts) <= passed, (w, n, seed)
+            # every improvement comes from a seed that was cut and reached
+            assert len(result.history) >= 1
+            for h in result.history:
+                assert h.iteration - 1 in cut_at and h.iteration <= result.iterations_run, (w, n, seed)
+            # a seed is reached exactly when its position is below iterations_run
+            speculative += sum(p >= result.iterations_run for p in cut_at)
     # some walks stopped before seeds that their last block had passed
-    assert sum(passed) > total_cuts
+    assert speculative > 0

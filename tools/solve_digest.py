@@ -8,7 +8,9 @@ Imports ``hsolo`` from ``SRC_DIR`` (a checkout's ``src``) and solves
 fixed scenes with noise (pixel 0.5, scale 0.05, angle 0.05) for each n in
 {200, 500, 2000} and w in {0.03, 0.05, 0.1, 0.2, 0.4}, four per cell. Prints one line
 per group: a sha256 over every result of the group, then the group's name.
-The groups are ``hsolo_estimate`` at seeds 0 and 1, ``ransac_homography``
+The groups are ``hsolo_estimate`` at seeds 0 and 1, the same at
+``w_f=0.3, n_f=12`` and at ``w_f=0.3`` (inner budgets of 369 draws, which
+at ``n_f=21`` some searches need past their first batch of 256), ``ransac_homography``
 capped at 10,000 draws, ``seed_medians`` of each pool against itself, and
 the filtered sets of every seed at a gate of +inf. The last group calls the
 private kernel ``hsolo.estimator._seed_block`` on each pool against itself,
@@ -105,6 +107,11 @@ def main(argv: list[str]) -> int:
     solvers = {
         "hsolo seed=0": lambda pool: hsolo_estimate(pool, HsoloConfig(seed=0)),
         "hsolo seed=1": lambda pool: hsolo_estimate(pool, HsoloConfig(seed=1)),
+        # inner budgets of 369 draws; at n_f=21 some searches outlast their first batch of 256
+        "hsolo w_f=0.3 n_f=12 seed=0": lambda pool: hsolo_estimate(pool, HsoloConfig(w_f=0.3, n_f=12, seed=0)),
+        "hsolo w_f=0.3 n_f=12 seed=1": lambda pool: hsolo_estimate(pool, HsoloConfig(w_f=0.3, n_f=12, seed=1)),
+        "hsolo w_f=0.3 seed=0": lambda pool: hsolo_estimate(pool, HsoloConfig(w_f=0.3, seed=0)),
+        "hsolo w_f=0.3 seed=1": lambda pool: hsolo_estimate(pool, HsoloConfig(w_f=0.3, seed=1)),
         "ransac max_iterations=10000": lambda pool: ransac_homography(
             pool, pool, None, RansacConfig(max_iterations=RANSAC_DRAWS, seed=0)
         ),
