@@ -116,8 +116,9 @@ def _held_out_pairs(truth, bounds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evaluate(result, elapsed, method, w_true, held_out, seed) -> TrialRecord:
-    if result is None:
-        return TrialRecord(method, w_true, False, math.inf, 0, elapsed, seed)
+    """A trial's record; ``result`` is an ``EstimationResult`` or the ``NoModelFound`` the solve raised."""
+    if isinstance(result, NoModelFound):
+        return TrialRecord(method, w_true, False, math.inf, result.iterations_run, elapsed, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         errors = transfer_errors(result.model.m, *held_out)
         mean_err = float(np.mean(errors)) if len(errors) else math.inf
@@ -139,8 +140,8 @@ def _method_records(pool, methods, configs, streams, w_true, held_out, trial_see
                 if method == "hsolo"
                 else ransac_homography(pool, pool, None, config)
             )
-        except NoModelFound:
-            result = None
+        except NoModelFound as exc:
+            result = exc
         elapsed = time.perf_counter() - t0
         records.append(_evaluate(result, elapsed, method, w_true, held_out, trial_seed))
     return records

@@ -9,8 +9,11 @@ filtered error as a cheap gate to skip hopeless seeds, and adapts its
 iteration budget as support improves. Seeds are evaluated in blocks (sketches
 and gate medians from one ranking per seed, many seeds per array pass), the
 inner searches of a block's passing seeds run together, and then the seeds
-are replayed in order, so the budget and results are those of a
-one-at-a-time loop.
+are replayed in order, so the budget and draws are those of a one-at-a-time
+loop. A reached seed's model gets the consensus refit only if one of its
+inliers lies outside the best consensus set so far, as LO-RANSAC (Chum,
+Matas & Kittler 2003) optimises only hypotheses that may become the best;
+the other seeds would refit a subset of the best's inliers.
 The winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt)
 pass over its inliers, and the whole pool is re-thresholded under the result.
 Pools are taken as a :class:`~hsolo.geometry.Pool` or as a sequence of
@@ -386,10 +389,13 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     can pass. Each passing seed's filtered set is cut from the same partition
     as its median, and the block's inner searches draw their first batches
     (each from the seed's own stream), solve and score them together. Then
-    the seeds are replayed in order, a found model refit only when the walk
-    reaches its seed, so budget updates, random draws and results are
-    exactly those of evaluating one seed at a time. A seed whose byproducts
-    give a non-finite or singular sketch fails the gate.
+    the seeds are replayed in order, so budget updates and random draws are
+    exactly those of evaluating one seed at a time. A found model is refit
+    only when the walk reaches its seed and one of the model's inliers (error
+    within ``epsilon`` on the whole pool) lies outside the best consensus set
+    so far; a seed whose inliers all lie in that set is passed over, though
+    in rare cases its refit would have won. A seed whose byproducts give a
+    non-finite or singular sketch fails the gate.
 
     Raises :class:`NoModelFound` when no seed passes the gate or no inner
     RANSAC reaches a support of 4.
@@ -413,6 +419,7 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
 
     walk = Replay(outer_budget(1.0 / n))
     best: tuple[Homography, np.ndarray] | None = None  # the best seed's model and inlier indices
+    in_best = np.zeros(n, dtype=bool)  # the best's inliers as a mask of the pool
     history: list[Improvement] = []
     max_rows = _max_seed_block(n)
     rows = min(_FIRST_SEED_BLOCK, max_rows)
@@ -433,18 +440,25 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
                                   config.w_f, inner_config)
         _run_searches(list(searches.values()), scorer)
         # replay the found models (each search's last improvement, as drawn) in
-        # order, each refit when the walk reaches it: an improvement shrinks k
-        # before the next one is looked at
+        # order, each refit when the walk reaches it unless all of its inliers
+        # are already the best's: an improvement shrinks k before the next one
+        # is looked at
         found = [(j, s.improvements[-1][3]) for j, s in searches.items() if s.improvements]
         for j, drawn in walk.block(start, hi, found):
-            model, idx = _consensus_refit(Homography._trusted(drawn), shuffled, src, dst, config.epsilon)
+            model = Homography._trusted(drawn)
+            idx = np.flatnonzero(transfer_errors(model.m, src, dst) <= config.epsilon)
+            if best is not None and in_best[idx].all():
+                continue
+            model, idx = _consensus_refit(model, idx, shuffled, src, dst, config.epsilon)
             if best is None or idx.size > best[1].size:
                 best = model, idx
+                in_best[:] = False
+                in_best[idx] = True
                 walk.improve(start + j + 1, outer_budget(min(1.0, idx.size / n)))
                 history.append(Improvement(walk.it, idx.size, walk.k, model))
 
     if best is None:
-        raise NoModelFound("no seed correspondence led to a model with support >= 4")
+        raise NoModelFound("no seed correspondence led to a model with support >= 4", walk.it)
 
     model, inlier_idx = _polish(*best, shuffled, src, dst, config.epsilon)
     return EstimationResult(

@@ -26,7 +26,15 @@ class InvalidFeature(HsoloError):
 
 
 class NoModelFound(HsoloError):
-    """A robust estimator exhausted its budget without an acceptable model."""
+    """A robust estimator exhausted its budget without an acceptable model.
+
+    ``iterations_run`` is the budget spent: seeds walked for hsolo, draws
+    for RANSAC.
+    """
+
+    def __init__(self, message: str, iterations_run: int = 0):
+        super().__init__(message)
+        self.iterations_run = iterations_run
 
 
 class InsufficientData(HsoloError):

@@ -417,10 +417,12 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
     search = _Search(np.random.default_rng(config.seed), *pool_arrays(sample_pool), w_init, config)
     search.run(_ScorePool(f_src, f_dst, config.epsilon))
     if not search.improvements:
-        raise NoModelFound("no sampled model reached a support of 4")
+        raise NoModelFound("no sampled model reached a support of 4", search.walk.it)
 
     history = tuple(Improvement(it, sup, k, Homography._trusted(m)) for it, sup, k, m in search.improvements)
-    model, inlier_idx = _consensus_refit(history[-1].model, score_pool, f_src, f_dst, config.epsilon)
+    best = history[-1].model
+    idx = np.flatnonzero(transfer_errors(best.m, f_src, f_dst) <= config.epsilon)
+    model, inlier_idx = _consensus_refit(best, idx, score_pool, f_src, f_dst, config.epsilon)
     return EstimationResult(
         model=model,
         inlier_indices=inlier_idx,
@@ -433,10 +435,13 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
 
 
 def _consensus_refit(
-    model: Homography, score_pool: Pool, f_src: np.ndarray, f_dst: np.ndarray, epsilon: float
+    model: Homography, idx: np.ndarray, score_pool: Pool, f_src: np.ndarray, f_dst: np.ndarray, epsilon: float
 ) -> tuple[Homography, np.ndarray]:
-    """Refit on all scoring-pool inliers; keep the original if that degrades support."""
-    idx = np.flatnonzero(transfer_errors(model.m, f_src, f_dst) <= epsilon)
+    """Refit on ``idx``, the scoring-pool inliers of ``model``; keep the original if that degrades support.
+
+    ``idx`` is ``np.flatnonzero(transfer_errors(model.m, f_src, f_dst) <= epsilon)``, which the
+    caller computes. Returns the kept model and its inlier indices.
+    """
     if idx.size < 4:
         return model, idx
     try:

@@ -92,21 +92,24 @@ def _no_collinear_triple(n: np.ndarray, e: np.ndarray, t: np.ndarray) -> np.ndar
     return area > COLLINEARITY_AREA_RTOL * np.ldexp(span[0] * span[1], 2 * e)
 
 
-def _check_spread(src: np.ndarray) -> None:
-    """Reject a larger point set that is collinear or coincident as a whole."""
-    centered = src - src.mean(axis=0)
+def _centred(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An (n, 2) point set's centroid and the points moved by minus it."""
+    centroid = pts.mean(axis=0)
+    return centroid, pts - centroid
+
+
+def _check_spread(centered: np.ndarray) -> None:
+    """Reject a larger centred point set that is collinear or coincident as a whole."""
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[0] == 0.0 or sv[1] <= 1e-8 * sv[0]:
         raise DegenerateConfiguration("source points span no area")
 
 
-def _hartley(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move an (n, 2) point set to centroid 0 and RMS radius sqrt(2).
+def _hartley(centroid: np.ndarray, centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move a :func:`_centred` point set to centroid 0 and RMS radius sqrt(2).
 
     Returns (normalized points, the 3x3 similarity doing it).
     """
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
     rms = math.sqrt(float(np.mean(np.sum(centered**2, axis=1))))
     if rms == 0.0:  # dlt_solve rejects coincident sources before this, so only targets get here
         raise DegenerateConfiguration("all target points coincide")
@@ -134,12 +137,13 @@ def dlt_solve(correspondences) -> Homography:
     n = len(src)
     if n < 4:
         raise ValueError(f"need at least 4 correspondences, got {n}")
+    src_mean, src_centred = _centred(src)
     if n > 4:
-        _check_spread(src)
+        _check_spread(src_centred)
     elif not _no_collinear_triple(*_triangles(src.T)):
         raise DegenerateConfiguration("collinear source triple or coincident points")
-    un, t1 = _hartley(src)
-    xn, t2 = _hartley(dst)
+    un, t1 = _hartley(src_mean, src_centred)
+    xn, t2 = _hartley(*_centred(dst))
     # point i's rows: [u v 1 0 0 0 -ux -vx] = x, then [0 0 0 u v 1 -uy -vy] = y
     a = np.zeros((n, 2, 8))
     a[:, 0, 0:2] = a[:, 1, 3:5] = un

@@ -106,6 +106,14 @@ class TestSyntheticSweep:
         assert any("skip" in note for note in res.notes)
         assert summary_cell(res, "ransac", 0.05).trials == 4
 
+    def test_a_failed_solve_records_the_seeds_it_walked(self):
+        # no seed passes a 1e-9 px gate: every solve walks all 100 seeds and finds nothing
+        sweep = SceneSweep((640.0, 480.0), 100, (0.4,), pixel_noise_sigma=0.5)
+        hopeless = HsoloConfig(epsilon_r=1e-9, max_outer_iterations=10_000)
+        res = run_benchmark(sweep, ["hsolo"], 3, hopeless, FAST_RANSAC, seed=1)
+        assert [(r.success, r.iterations) for r in res.records] == [(False, 100)] * 3
+        assert summary_cell(res, "hsolo", 0.4).median_iterations == 100.0
+
     def test_same_seed_reproduces_records(self):
         sweep = SceneSweep((640.0, 480.0), 200, (0.3,))
         r1 = run_benchmark(sweep, ["hsolo"], 4, FAST_HSOLO, FAST_RANSAC, seed=9)

@@ -433,8 +433,10 @@ class TestHsoloEstimate:
                     ),
                 )
             )
-        with pytest.raises(NoModelFound):
+        with pytest.raises(NoModelFound) as exc:
             hsolo_estimate(pool, HsoloConfig(epsilon_r=1e-6, seed=0))
+        # no seed passes the gate, so the walk runs to the end of the pool
+        assert exc.value.iterations_run == len(pool)
 
     # the last is a 1/200 scale ratio, as an outlier match between a coarse
     # and a fine feature can give; its sketch fails Homography's determinant

@@ -26,7 +26,10 @@ from hsolo import (
     ransac_homography,
     required_iterations,
 )
-from hsolo.geometry import SINGULARITY_RTOL, as_pool, pool_arrays, transfer_errors, valid_homography
+from hsolo.exceptions import DegenerateConfiguration, IllConditioned, SingularMatrix
+from hsolo.geometry import (
+    SINGULARITY_RTOL, as_pool, pool_arrays, project_points, transfer_errors, valid_homography
+)
 from hsolo.robust import EstimationResult, Improvement
 from hsolo.solvers import solve_minimal_batch
 from hsolo.synthetic import SceneSpec, generate_scene, random_scene_truth
@@ -211,6 +214,14 @@ class TestRansacHomography:
         pool = exact_pool(Homography.translation(2.0, 1.0), pts)
         with pytest.raises(NoModelFound):
             ransac_homography(pool, pool, 0.5, RansacConfig(seed=0, max_iterations=200))
+
+    def test_no_model_found_carries_the_draws_made(self, rng):
+        pts = [Point2(5.0 * i, 5.0 * i) for i in range(10)]
+        pool = exact_pool(Homography.translation(2.0, 1.0), pts)
+        with pytest.raises(NoModelFound) as exc:
+            ransac_homography(pool, pool, 0.5, RansacConfig(seed=0, max_iterations=200))
+        # every draw is degenerate, so the whole budget of w=0.5 is drawn
+        assert exc.value.iterations_run == required_iterations(0.5, 4, 0.95) == 47
 
     def test_same_seed_reproduces_bitwise(self, rng):
         truth = random_truth(rng)
@@ -623,7 +634,8 @@ def reference_ransac_homography(sample_pool, score_pool, w_init, config: RansacC
 
     if best_model is None:
         raise NoModelFound("no sampled model reached a support of 4")
-    model, inlier_idx = robust._consensus_refit(best_model, score_pool, f_src, f_dst, config.epsilon)
+    idx = np.flatnonzero(transfer_errors(best_model.m, f_src, f_dst) <= config.epsilon)
+    model, inlier_idx = robust._consensus_refit(best_model, idx, score_pool, f_src, f_dst, config.epsilon)
     return EstimationResult(model, inlier_idx, int(inlier_idx.size), it, k, 0.0, tuple(history))
 
 
@@ -677,3 +689,82 @@ def test_inner_style_replay_matches_the_reference():
         rows = np.concatenate([inliers, rng.choice(np.flatnonzero(~mask), 6, replace=False)])
         cases.append((pool[rng.permutation(rows)], pool, 0.7, RansacConfig(seed=s)))
     assert _replays_agree(cases) >= 1
+
+
+# --- the consensus refit --------------------------------------------------------
+#
+# _consensus_refit takes the model's inlier indices from its caller and has
+# four exits: too few indices, a DLT that raises, a refit with less support
+# than the model's, and a refit with at least as much.
+
+
+def refit_case(rng, n_in=40, n_out=40, sigma=0.5):
+    """A noisy mixed pool, its arrays, a model off the truth by a small shift and that model's inliers."""
+    truth = random_truth(rng)
+    pool, _ = mixed_pool(rng, truth, n_in, n_out)
+    src, dst = pool_arrays(pool)
+    dst = dst + rng.normal(0.0, sigma, size=dst.shape)
+    pool = as_pool(pool_from_arrays(src, dst))
+    model = Homography(Homography.translation(0.8, -0.6).m @ truth.m)
+    idx = np.flatnonzero(transfer_errors(model.m, src, dst) <= 4.0)
+    return pool, src, dst, model, idx
+
+
+def test_consensus_refit_keeps_fewer_than_four_indices(rng):
+    pool, src, dst, model, idx = refit_case(rng)
+    got_model, got_idx = robust._consensus_refit(model, idx[:3], pool, src, dst, 4.0)
+    assert got_model is model and got_idx.tolist() == idx[:3].tolist()
+
+
+@pytest.mark.parametrize("error", [DegenerateConfiguration, IllConditioned, SingularMatrix])
+def test_consensus_refit_keeps_the_model_when_the_dlt_raises(monkeypatch, rng, error):
+    pool, src, dst, model, idx = refit_case(rng)
+
+    def failing(_):
+        raise error("no fit")
+
+    monkeypatch.setattr(robust, "dlt_solve", failing)
+    got_model, got_idx = robust._consensus_refit(model, idx, pool, src, dst, 4.0)
+    assert got_model is model and got_idx is idx
+
+
+def test_consensus_refit_keeps_the_model_when_the_dlt_raises_on_collinear_inliers():
+    # every inlier on one line: the DLT over them raises DegenerateConfiguration
+    src = np.column_stack([np.arange(10.0) * 7.0, np.arange(10.0) * 3.0])
+    dst = src + [5.0, -2.0]
+    pool = as_pool(pool_from_arrays(src, dst))
+    model = Homography.translation(5.0, -2.0)
+    idx = np.flatnonzero(transfer_errors(model.m, src, dst) <= 4.0)
+    got_model, got_idx = robust._consensus_refit(model, idx, pool, src, dst, 4.0)
+    assert got_model is model and got_idx is idx and idx.size == 10
+
+
+def test_consensus_refit_keeps_the_model_when_the_refit_loses_support(monkeypatch, rng):
+    pool, src, dst, model, idx = refit_case(rng)
+    # a refit 30 px off keeps none of the model's inliers
+    far = Homography(Homography.translation(30.0, 0.0).m @ model.m)
+    monkeypatch.setattr(robust, "dlt_solve", lambda _: far)
+    assert np.count_nonzero(transfer_errors(far.m, src, dst) <= 4.0) < idx.size
+    got_model, got_idx = robust._consensus_refit(model, idx, pool, src, dst, 4.0)
+    assert got_model is model and got_idx is idx
+
+
+def test_consensus_refit_returns_a_refit_with_at_least_the_support(rng):
+    pool, src, dst, model, idx = refit_case(rng)
+    got_model, got_idx = robust._consensus_refit(model, idx, pool, src, dst, 4.0)
+    want = robust.dlt_solve(pool[idx])
+    assert got_model.m.tobytes() == want.m.tobytes()
+    assert got_idx.tolist() == np.flatnonzero(transfer_errors(want.m, src, dst) <= 4.0).tolist()
+    assert got_idx.size >= idx.size
+
+
+def test_consensus_refit_returns_a_refit_that_ties_the_support():
+    # exact inliers: the refit fits them as well as the model, with the same support
+    truth = Homography(np.array([[1.1, 0.05, 12.0], [-0.04, 0.95, -7.0], [1e-4, -5e-5, 1.0]]))
+    rng = np.random.default_rng(4)
+    src = np.column_stack([rng.uniform(20.0, 620.0, 30), rng.uniform(20.0, 460.0, 30)])
+    dst = project_points(truth.m, src)
+    pool = as_pool(pool_from_arrays(src, dst))
+    idx = np.flatnonzero(transfer_errors(truth.m, src, dst) <= 4.0)
+    got_model, got_idx = robust._consensus_refit(truth, idx, pool, src, dst, 4.0)
+    assert got_model is not truth and got_idx.tolist() == idx.tolist() == list(range(30))

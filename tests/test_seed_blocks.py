@@ -3,8 +3,10 @@
 ``hsolo_estimate`` computes sketches, gate medians and the filtered sets of
 passing seeds for a block of seeds at once and then replays the block in
 order. The reference below is the per-seed loop it replaced, kept verbatim
-apart from names, and ends in the same ``_polish`` stage: the two must agree
-bit for bit on every field of the result, history included.
+apart from names and one rule: a found seed whose drawn model has no inlier
+outside the best's inliers is passed over, as the walk passes over its
+refit. It ends in the same ``_polish`` stage: the two must agree bit for bit
+on every field of the result, history included.
 """
 
 import math
@@ -71,6 +73,10 @@ def reference_hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
         try:
             inner = ransac_homography([shuffled[j] for j in idx], shuffled, config.w_f, inner_config)
         except NoModelFound:
+            continue
+        # a seed whose drawn model has no inlier outside the best's is not refit
+        raw = np.flatnonzero(transfer_errors(inner.history[-1].model.m, src, dst) <= config.epsilon)
+        if best is not None and np.isin(raw, best.inlier_indices).all():
             continue
         if inner.support > best_support:
             best = inner
@@ -442,3 +448,68 @@ def test_walk_cuts_one_filtered_set_per_inner_search(monkeypatch):
             speculative += sum(p >= result.iterations_run for p in cut_at)
     # some walks stopped before seeds that their last block had passed
     assert speculative > 0
+
+
+# --- refits only for seeds that bring a new inlier ------------------------------
+#
+# The walk refits a reached seed's model only if one of the model's raw
+# inliers lies outside the best consensus set of that moment; the rest of
+# the reached seeds whose searches found a model are passed over.
+
+
+def test_walk_refits_only_seeds_with_an_inlier_outside_the_best(monkeypatch):
+    sizes = []  # every block's seed count
+    cut_at = []  # every cut seed's position in the walk, in the order the searches are built
+    seed_block = estimator._seed_block
+
+    def recording_block(seeds, src, dst, n_f, epsilon_r):
+        medians, passing = seed_block(seeds, src, dst, n_f, epsilon_r)
+        start = sum(sizes)
+        sizes.append(len(seeds))
+
+        def recorded(j, cut):
+            def call():
+                cut_at.append(start + j)
+                return cut()
+
+            return call
+
+        return medians, ((j, recorded(j, cut)) for j, cut in passing)
+
+    searches = []
+    make_search = estimator._Search
+
+    def recording_search(*args):
+        searches.append(make_search(*args))
+        return searches[-1]
+
+    refits = []  # (index set, the best set at that moment) of every refit
+    best = []  # the best set, as the walk keeps it
+    consensus_refit = estimator._consensus_refit
+
+    def recording_refit(model, idx, *args):
+        refits.append((set(idx.tolist()), set(best[-1]) if best else None))
+        got = consensus_refit(model, idx, *args)
+        if not best or got[1].size > len(best[-1]):
+            best.append(got[1].tolist())
+        return got
+
+    monkeypatch.setattr(estimator, "_seed_block", recording_block)
+    monkeypatch.setattr(estimator, "_Search", recording_search)
+    monkeypatch.setattr(estimator, "_consensus_refit", recording_refit)
+    total_refits = total_found = 0
+    for seed in range(6):
+        for record in (sizes, cut_at, searches, refits, best):
+            record.clear()
+        result = hsolo_estimate(noisy_pool(500, 0.05, 500 + seed), HsoloConfig(seed=seed))
+        assert len(cut_at) == len(searches)
+        found = sum(p < result.iterations_run and bool(s.improvements) for p, s in zip(cut_at, searches))
+        assert 1 <= len(refits) <= found, seed
+        assert refits[0][1] is None, seed
+        for idx, best_then in refits[1:]:
+            assert idx - best_then, seed
+        assert len(result.history) == len(best), seed
+        total_refits += len(refits)
+        total_found += found
+    # some reached seeds only re-find the plane the walk already holds, and are not refit
+    assert total_refits < total_found

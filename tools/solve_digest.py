@@ -12,7 +12,11 @@ The groups are ``hsolo_estimate`` at seeds 0 and 1, the same at
 ``w_f=0.3, n_f=12`` and at ``w_f=0.3`` (inner budgets of 369 draws, which
 at ``n_f=21`` some searches need past their first batch of 256), ``ransac_homography``
 capped at 10,000 draws, ``seed_medians`` of each pool against itself, and
-the filtered sets of every seed at a gate of +inf. The last group calls the
+the filtered sets of every seed at a gate of +inf. Two more groups solve
+``hsolo_estimate`` at seeds 0 and 1 on scenes of the accuracy regime at
+n=2000 (w in {0.2, 0.4}, noise 1.0, 0.1 and 0.05, four scenes per rate),
+where a solve makes about eight consensus refits, so changes to which
+seeds are refit show there. The inf-gate group calls the
 private kernel ``hsolo.estimator._seed_block`` on each pool against itself,
 in blocks of ``_max_seed_block(n)`` seeds, with ``tools/cli_digest.py``'s two
 extreme byproduct rows (an overflowing sketch and a singular one) inserted in
@@ -41,6 +45,9 @@ import numpy as np
 SIZES = (200, 500, 2000)
 RATES = (0.03, 0.05, 0.1, 0.2, 0.4)
 NOISE = (0.5, 0.05, 0.05)
+# the accuracy regime: many seeds bring new inliers, so most reached seeds are refit
+WIDE_RATES = (0.2, 0.4)
+WIDE_NOISE = (1.0, 0.1, 0.05)
 BOUNDS = (640.0, 480.0)
 RANSAC_DRAWS = 10_000
 SCENES_PER_CELL = 4
@@ -53,16 +60,16 @@ EXTREME_ROWS = (
 )
 
 
-def _scenes():
+def _scenes(sizes=SIZES, rates=RATES, noise=NOISE):
     """``SCENES_PER_CELL`` (label, pool) per grid cell, each from its own fixed seed."""
     from hsolo.synthetic import SceneSpec, generate_scene, random_scene_truth
 
-    for n, w, i in itertools.product(SIZES, RATES, range(SCENES_PER_CELL)):
+    for n, w, i in itertools.product(sizes, rates, range(SCENES_PER_CELL)):
         rng = np.random.default_rng((n, round(w * 100), i))
         truth = random_scene_truth(rng, BOUNDS)
         spec = SceneSpec(
             truth=truth, image_bounds=BOUNDS, n_total=n, inlier_rate=w,
-            pixel_noise_sigma=NOISE[0], scale_noise_sigma=NOISE[1], angle_noise_sigma=NOISE[2],
+            pixel_noise_sigma=noise[0], scale_noise_sigma=noise[1], angle_noise_sigma=noise[2],
             seed=int(rng.integers(2**63)),
         )
         yield f"n={n} w={w} scene={i}", generate_scene(spec)[0]
@@ -116,19 +123,26 @@ def main(argv: list[str]) -> int:
             pool, pool, None, RansacConfig(max_iterations=RANSAC_DRAWS, seed=0)
         ),
     }
+    wide = {f"hsolo n=2000 noise=1.0/0.1/0.05 seed={seed}": solvers[f"hsolo seed={seed}"] for seed in (0, 1)}
     inf_cuts = "seed_block cuts n_f=21 epsilon_r=inf, extreme rows"
-    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", inf_cuts]}
-    for label, pool in _scenes():
-        cell = label.encode() + b"\n"
-        for name, solve in solvers.items():
+    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", inf_cuts, *wide]}
+
+    def digest_solves(groups, cell, pool):
+        for name, solve in groups.items():
             try:
                 data = _fingerprint(solve(pool))
             except NoModelFound:
                 data = b"NoModelFound"
             digests[name].update(cell + data)
+
+    for label, pool in _scenes():
+        cell = label.encode() + b"\n"
+        digest_solves(solvers, cell, pool)
         digests["seed_medians n_f=21"].update(cell + seed_medians(pool, pool, N_F).tobytes())
         digests[inf_cuts].update(cell)
         _inf_gate_cuts(pool, digests[inf_cuts])
+    for label, pool in _scenes((2000,), WIDE_RATES, WIDE_NOISE):
+        digest_solves(wide, label.encode() + b"\n", pool)
     for name, digest in digests.items():
         print(f"{digest.hexdigest()}  {name}", flush=True)
     return 0
