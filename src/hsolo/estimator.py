@@ -6,10 +6,12 @@ approximation concentrates inliers near the top, so a small inner RANSAC on
 the best-ranked subset can recover the full model in a handful of draws. The
 outer loop walks seed correspondences of a shuffled pool, uses the median
 filtered error as a cheap gate to skip hopeless seeds, and adapts its
-iteration budget as support improves. Seeds are evaluated in blocks (sketches
-and gate medians from one ranking per seed, many seeds per array pass), the
-inner searches of a block's passing seeds run together, and then the seeds
-are replayed in order, so the budget and draws are those of a one-at-a-time
+iteration budget as support improves. Seeds are gated a window at a time:
+one matrix product per window screens out the seeds that cannot pass (the
+idea of R-RANSAC's pre-test, Chum & Matas 2002, applied to seeds), and only
+the candidates left get exact errors, gate medians and filtered sets. Their
+inner searches run a few candidates at a time, and then the seeds are
+replayed in order, so the budget and draws are those of a one-at-a-time
 loop. A reached seed's model gets the consensus refit only if one of its
 inliers lies outside the best consensus set so far, as LO-RANSAC (Chum,
 Matas & Kittler 2003) optimises only hypotheses that may become the best;
@@ -90,12 +92,16 @@ class HsoloConfig:
             raise ValueError("max_outer_iterations must be >= 1")
 
 
-# Seed blocks start small, because an early improvement can cut the outer
-# budget to a few seeds, and double up to the row count that keeps each
-# (rows, n) float64 temporary within this many elements (512 KB); larger
-# blocks would save little per seed.
-_FIRST_SEED_BLOCK = 16
+# Seeds are gated a window at a time. Windows start small, because an early
+# improvement can cut the outer budget to a few seeds, and double up to the
+# row count that keeps each (rows, n) float64 temporary within this many
+# elements (512 KB); larger windows would save little per seed. The walk then
+# takes the gate candidates, across windows, _SEARCH_BATCH at a time through
+# the exact gate and the inner searches: each batch has a fixed cost, and its
+# candidates past the walk's end are wasted work.
+_FIRST_SEED_BLOCK = 32
 _SEED_BLOCK_ELEMENTS = 1 << 16
+_SEARCH_BATCH = 4
 
 
 def _max_seed_block(n: int) -> int:
@@ -141,6 +147,131 @@ def _filtered_set(errors: np.ndarray, part: np.ndarray, take: int) -> np.ndarray
     return cand[np.argsort(errors[cand], kind="stable")[:take]]
 
 
+def _sketches(seeds: Pool) -> tuple[np.ndarray, np.ndarray]:
+    """The top two rows of each seed's similarity sketch, shape ``(2, 3, seeds)``, and the mask of usable ones.
+
+    Entries are bit for bit those of ``single_match_homography(seeds[i])``.
+    A sketch that fails :func:`~hsolo.geometry.valid_homography`
+    (non-finite or singular) is not usable, and its entries are zeroed so
+    that no kernel downstream overflows on it.
+    """
+    u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
+    # math.cos and math.sin, as single_match_homography takes them, because
+    # numpy's vector versions may round differently
+    delta = (t2 - t1).tolist()
+    cos_d = np.array([math.cos(d) for d in delta])
+    sin_d = np.array([math.sin(d) for d in delta])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sketch = similarity_sketch(u1, v1, u2, v2, s2 / s1, cos_d, sin_d)
+        # Homography's test on the same entries. A passing similarity has
+        # r**2 > 1e-12 * fro**3 and r**2 < fro**2 / 2, so fro < 5e11: h9 = 1
+        # stays significant, Homography keeps the entries as given, and
+        # transfer_errors divides by exactly 1 and flags no point.
+        ok = valid_homography(sketch)
+    return np.where(ok, np.array(sketch[:2]), 0.0), ok
+
+
+class _GatePool:
+    """A pool's points as the seed gate takes them, with the prefilter's features built once."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray):
+        points = np.array((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
+        self.u, self.v, self.x, self.y = points
+        self.features = None
+        magnitude = np.abs(points)
+        nonzero = magnitude[magnitude != 0.0]
+        # a NaN minimum fails the test too
+        if nonzero.size == 0 or 2.0**-200 <= nonzero.min() and nonzero.max() <= 2.0**200:
+            u, v, x, y = points
+            self.features = np.array(
+                (u * u + v * v, u, v, np.ones_like(u), x * x + y * y, u * x + v * y, v * x - u * y, x, y)
+            )
+            self.max_features = np.abs(self.features).max(axis=1)
+
+    def candidates(self, top: np.ndarray, ok: np.ndarray, take: int, threshold: float) -> np.ndarray:
+        """The rows that :func:`_exact_gate`'s count may keep at squared threshold ``threshold``: one product per window.
+
+        A sketch's rows are (a, -d, c) and (d, a, f), as ``similarity_sketch``
+        makes them, so a point's squared distance
+        ``(a*u - d*v + c - x)**2 + (d*u + a*v + f - y)**2`` is the dot product
+        of the row's coefficients ``C = (a*a + d*d, 2*(c*a + f*d),
+        2*(f*a - c*d), c*c + f*f, 1, -2*a, 2*d, -2*c, -2*f)`` with the
+        point's features ``F = (u*u + v*v, u, v, 1, x*x + y*y, u*x + v*y,
+        v*x - u*y, x, y)``. A point is near unless ``C @ F > threshold +
+        slack``, with ``slack = 2**-40 * (|C| @ max|F|) + 2**-600``, and a
+        usable row is a candidate if more than (take - 1) // 2 of its points
+        are near; NaN counts as near.
+
+        The bound: write S for the sum of ``|C[i] * F[i]|`` at a point,
+        which ``|C| @ max|F|`` bounds. AM-GM bounds every cross term by terms
+        of S (``2*|c*a*u| <= C[0]*F[0] + C[3]``, for one), and the squares
+        of ``|a*u| + |d*v| + |c| + |x|`` and of its y twin add up to at most
+        4*S. So the roundings of the exact path's ``dx*dx + dy*dy`` move it
+        by at most 48 * 2**-53 * S, those of C, F and their product move
+        ``C @ F`` by at most 22 * 2**-53 * S, and the two differ by less
+        than ``2**-46 * S``, well within the slack, as long as nothing
+        overflows and what underflows moves them by less than 2**-600. A
+        usable sketch has entries below 5e11 (see :func:`_sketches`), so
+        that holds on a pool whose nonzero coordinates all lie in
+        [2**-200, 2**200]: every feature is then normal or zero, and no
+        product comes near overflow. So every squared distance that the
+        exact count keeps (``<= threshold``) is near here, and the
+        candidates include every row that count keeps. On any other pool
+        every usable row is a candidate, and at a threshold of +inf every
+        row is, which is the exact gate alone. The product only selects
+        rows, so results do not depend on how it rounds.
+        """
+        if threshold == math.inf:
+            return np.arange(ok.size)
+        if self.features is None:
+            return np.flatnonzero(ok)
+        (a, _, c), (d, _, f) = top
+        coef = np.array(
+            (a * a + d * d, 2.0 * (c * a + f * d), 2.0 * (f * a - c * d), c * c + f * f, np.ones_like(a),
+             -2.0 * a, 2.0 * d, -2.0 * c, -2.0 * f)
+        )
+        limit = threshold + (2.0**-40 * (np.abs(coef).T @ self.max_features) + 2.0**-600)
+        far = np.count_nonzero(coef.T @ self.features > limit[:, None], axis=1)
+        return np.flatnonzero(ok & (self.u.size - far > (take - 1) // 2))
+
+
+def _exact_gate(top: np.ndarray, ok: np.ndarray, labels: np.ndarray, gate: _GatePool, take: int, epsilon_r: float):
+    """The gate medians of sketches ``top`` (usable where ``ok``) and, for those that pass, cuts for the filtered sets.
+
+    Returns ``(medians, passing)``: ``passing`` yields ``(labels[r], cut)``
+    in order for each passing row r. The rows must include every row of
+    their window that the count below keeps, as
+    :meth:`_GatePool.candidates` picks them. The errors, medians and cuts of
+    :func:`_seed_block` come from here.
+    """
+    # one (rows, 1) column per entry against the pool's points; w is exactly 1
+    u, v = gate.u, gate.v
+    dx, dy, d2 = np.empty((3, ok.size, u.size))
+    apply_homogeneous((*top[..., None], (0.0, 0.0, 1.0)), u, v, out=(dx, dy))
+    dx -= gate.x
+    dy -= gate.y
+    threshold = _gate_threshold(epsilon_r)
+    if threshold < math.inf:
+        # a singular sketch's row is left out: its +inf median fails every
+        # finite gate
+        with np.errstate(over="ignore"):
+            np.multiply(dx, dx, out=d2)
+            d2 += dy * dy
+        exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
+        errors = np.hypot(dx[exact], dy[exact])
+    else:
+        exact = np.arange(ok.size)
+        errors = np.hypot(dx, dy)
+        errors[~ok] = np.inf
+    errors[np.isnan(errors)] = np.inf
+    # the median's ranks, and take - 1, where the filtered sets cut their candidates
+    part = np.partition(errors, sorted({(take - 1) // 2, take // 2, take - 1}), axis=1)
+    medians = np.full(ok.size, np.inf)
+    medians[exact] = _median_of_smallest(part, take)
+    passed = np.flatnonzero(medians[exact] <= epsilon_r).tolist()
+    return medians, ((int(labels[exact[r]]), partial(_filtered_set, errors[r], part[r], take)) for r in passed)
+
+
 def _seed_block(
     seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float
 ) -> tuple[np.ndarray, Iterator[tuple[int, Callable[[], np.ndarray]]]]:
@@ -161,50 +292,21 @@ def _seed_block(
     decided by a count: the median is at least the row's value of rank
     (take - 1) // 2 (it is that value for odd take), so a row can pass only
     if more than (take - 1) // 2 of its squared distances lie within
-    :func:`_gate_threshold`. Only rows that can pass get exact errors and a
-    median; the rest report a +inf median, so every seed passes or fails as
-    with exact medians. At ``epsilon_r = +inf`` the count is skipped: every
-    median is exact and every seed passes.
+    :func:`_gate_threshold`. One matrix product over the block
+    (:meth:`_GatePool.candidates`) picks the rows that the count may keep,
+    only those are counted exactly, and only the rows the count keeps get
+    exact errors and a median. The rest report a +inf median, so every seed
+    passes or fails as with exact medians. At ``epsilon_r = +inf`` the
+    product and the count are skipped: every median is exact and every seed
+    passes.
     """
-    u1, v1, s1, t1, u2, v2, s2, t2 = seeds.rows.T
-    # math.cos and math.sin, as single_match_homography takes them, because
-    # numpy's vector versions may round differently
-    delta = (t2 - t1).tolist()
-    cos_d = np.array([math.cos(d) for d in delta])
-    sin_d = np.array([math.sin(d) for d in delta])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        sketch = similarity_sketch(u1, v1, u2, v2, s2 / s1, cos_d, sin_d)
-        # Homography's test on the same entries. A passing similarity has
-        # r**2 > 1e-12 * fro**3 and r**2 < fro**2 / 2, so fro < 5e11: h9 = 1
-        # stays significant, Homography keeps the entries as given, and
-        # transfer_errors divides by exactly 1 and flags no point.
-        ok = valid_homography(sketch)
-    # one (rows, 1) column per entry against the pool's points; w is exactly 1
-    top = [[np.where(ok, e, 0.0)[:, None] for e in row] for row in sketch[:2]]
-    u, v, tx, ty = np.array((src[:, 0], src[:, 1], dst[:, 0], dst[:, 1]))
-    dx, dy, d2 = np.empty((3, len(seeds), len(u)))
-    apply_homogeneous((*top, sketch[2]), u, v, out=(dx, dy))
-    dx -= tx
-    dy -= ty
-    take = min(n_f, len(u))
-    exact = np.arange(len(seeds))
-    threshold = _gate_threshold(epsilon_r)
-    if threshold < math.inf:
-        # a singular sketch's row is left out: its +inf median fails every
-        # finite gate
-        with np.errstate(over="ignore"):
-            np.multiply(dx, dx, out=d2)
-            d2 += dy * dy
-        exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
-    errors = np.hypot(dx[exact], dy[exact])
-    errors[~ok[exact]] = np.inf
-    errors[np.isnan(errors)] = np.inf
-    # the median's ranks, and take - 1, where the filtered sets cut their candidates
-    part = np.partition(errors, sorted({(take - 1) // 2, take // 2, take - 1}), axis=1)
+    gate = _GatePool(src, dst)
+    take = min(n_f, len(src))
+    top, ok = _sketches(seeds)
+    rows = gate.candidates(top, ok, take, _gate_threshold(epsilon_r))
     medians = np.full(len(seeds), np.inf)
-    medians[exact] = _median_of_smallest(part, take)
-    rows = np.flatnonzero(medians[exact] <= epsilon_r).tolist()
-    return medians, ((int(exact[r]), partial(_filtered_set, errors[r], part[r], take)) for r in rows)
+    medians[rows], passing = _exact_gate(top[..., rows], ok[rows], rows, gate, take, epsilon_r)
+    return medians, passing
 
 
 def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
@@ -383,14 +485,16 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     model is refined before being returned. Reported inlier indices refer to
     the pool order given by the caller.
 
-    Sketches and gate medians are computed for a block of upcoming seeds at
-    once (16 seeds at first, doubling up to a fixed element budget), with
-    exact pool errors only for the seeds that a count of nearby points shows
-    can pass. Each passing seed's filtered set is cut from the same partition
-    as its median, and the block's inner searches draw their first batches
-    (each from the seed's own stream), solve and score them together. Then
-    the seeds are replayed in order, so budget updates and random draws are
-    exactly those of evaluating one seed at a time. A found model is refit
+    Sketches are gated for a window of upcoming seeds at once (32 seeds at
+    first, doubling up to a fixed element budget): one matrix product per
+    window bounds each seed's count of nearby points from above, and only
+    the seeds it keeps (the gate candidates) get exact pool errors, a gate
+    median and, if they pass, a filtered set cut from the same partition as
+    the median. The walk takes the candidates four at a time: a batch's
+    inner searches draw their first batches (each from the seed's own
+    stream), solve and score them together. Then the seeds are replayed in
+    order, so budget updates and random draws are exactly those of
+    evaluating one seed at a time. A found model is refit
     only when the walk reaches its seed and one of the model's inliers (error
     within ``epsilon`` on the whole pool) lies outside the best consensus set
     so far; a seed whose inliers all lie in that set is passed over, though
@@ -421,30 +525,53 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     best: tuple[Homography, np.ndarray] | None = None  # the best seed's model and inlier indices
     in_best = np.zeros(n, dtype=bool)  # the best's inliers as a mask of the pool
     history: list[Improvement] = []
+    gate = _GatePool(src, dst)
+    take = min(config.n_f, n)
+    threshold = _gate_threshold(config.epsilon_r)
+    # the gate runs ahead of the walk: seeds [0, gated) are gated, and the
+    # candidates among them not yet searched wait at their walk positions
+    gated = 0
+    inner_seeds: list[int] = []
+    waiting, waiting_top, waiting_ok = np.empty(0, dtype=np.intp), np.empty((2, 3, 0)), np.empty(0, dtype=bool)
     max_rows = _max_seed_block(n)
     rows = min(_FIRST_SEED_BLOCK, max_rows)
     while walk.it < min(walk.k, n):
-        start, hi = walk.it, min(walk.k, n, walk.it + rows)
-        rows = min(2 * rows, max_rows)
-        _, passing = _seed_block(shuffled[start:hi], src, dst, config.n_f, config.epsilon_r)
-        # every seed walked draws its inner seed, the same stream as one draw
-        # per seed; only the last block draws seeds it does not walk
-        inner_seeds = rng.integers(0, 2**63, size=hi - start).tolist()
-        # every passing seed is within the budget at the block's start (hi <= k),
-        # and its search draws from its own stream, so what it finds does not
-        # depend on the walk: all of them run together
-        searches = {}
-        for j, cut in passing:
-            filtered = cut()
-            searches[j] = _Search(np.random.default_rng(inner_seeds[j]), src[filtered], dst[filtered],
-                                  config.w_f, inner_config)
-        _run_searches(list(searches.values()), scorer)
-        # replay the found models (each search's last improvement, as drawn) in
-        # order, each refit when the walk reaches it unless all of its inliers
-        # are already the best's: an improvement shrinks k before the next one
-        # is looked at
-        found = [(j, s.improvements[-1][3]) for j, s in searches.items() if s.improvements]
-        for j, drawn in walk.block(start, hi, found):
+        # gate windows of seeds until a batch of candidates waits or the gate
+        # reaches the budget
+        while waiting.size < _SEARCH_BATCH and gated < min(walk.k, n):
+            end = min(walk.k, n, gated + rows)
+            rows = min(2 * rows, max_rows)
+            top, ok = _sketches(shuffled[gated:end])
+            # every seed gated draws its inner seed, the same stream as one
+            # draw per seed walked; seeds past the walk's end are never used
+            inner_seeds += rng.integers(0, 2**63, size=end - gated).tolist()
+            cand = gate.candidates(top, ok, take, threshold)
+            waiting = np.concatenate((waiting, gated + cand))
+            waiting_top = np.concatenate((waiting_top, top[..., cand]), axis=2)
+            waiting_ok = np.concatenate((waiting_ok, ok[cand]))
+            gated = end
+        # the next candidates within the budget: each draws from its own
+        # stream, so what its search finds does not depend on the walk, and
+        # all of them run together
+        b = int(np.count_nonzero(waiting[:_SEARCH_BATCH] < walk.k))
+        found = []
+        if b:
+            _, passing = _exact_gate(waiting_top[..., :b], waiting_ok[:b], waiting[:b], gate, take,
+                                     config.epsilon_r)
+            searches = {}
+            for i, cut in passing:
+                filtered = cut()
+                searches[i] = _Search(np.random.default_rng(inner_seeds[i]), src[filtered], dst[filtered],
+                                      config.w_f, inner_config)
+            _run_searches(list(searches.values()), scorer)
+            found = [(i, s.improvements[-1][3]) for i, s in searches.items() if s.improvements]
+            waiting, waiting_top, waiting_ok = waiting[b:], waiting_top[..., b:], waiting_ok[b:]
+        # replay the found models (each search's last improvement, as drawn)
+        # in walk order, each refit when the walk reaches it unless all of its
+        # inliers are already the best's: an improvement shrinks k before the
+        # next model is looked at. The walk then stands at the next waiting
+        # candidate, or at the gate's end.
+        for i, drawn in walk.block(0, int(waiting[0]) if waiting.size else gated, found):
             model = Homography._trusted(drawn)
             idx = np.flatnonzero(transfer_errors(model.m, src, dst) <= config.epsilon)
             if best is not None and in_best[idx].all():
@@ -454,7 +581,7 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
                 best = model, idx
                 in_best[:] = False
                 in_best[idx] = True
-                walk.improve(start + j + 1, outer_budget(min(1.0, idx.size / n)))
+                walk.improve(i + 1, outer_budget(min(1.0, idx.size / n)))
                 history.append(Improvement(walk.it, idx.size, walk.k, model))
 
     if best is None:

@@ -1,15 +1,17 @@
 """Block seed evaluation against the one-seed-at-a-time reference loop.
 
-``hsolo_estimate`` computes sketches, gate medians and the filtered sets of
-passing seeds for a block of seeds at once and then replays the block in
-order. The reference below is the per-seed loop it replaced, kept verbatim
-apart from names and one rule: a found seed whose drawn model has no inlier
+``hsolo_estimate`` gates a window of seeds at once, computes gate medians
+and filtered sets for its gate candidates a batch at a time, runs each
+batch's inner searches together and then replays the batch in walk order.
+The reference below is the per-seed loop it replaced, kept verbatim apart
+from names and one rule: a found seed whose drawn model has no inlier
 outside the best's inliers is passed over, as the walk passes over its
 refit. It ends in the same ``_polish`` stage: the two must agree bit for bit
 on every field of the result, history included.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from hsolo import (
     hsolo_estimate,
 )
 from hsolo import estimator
-from hsolo.estimator import _polish, _seed_block, seed_medians
-from hsolo.geometry import Pool, as_pool, pool_arrays, transfer_errors
+from hsolo.estimator import _gate_threshold, _polish, _seed_block, seed_medians
+from hsolo.geometry import Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors
 from hsolo.robust import EstimationResult, Improvement, RansacConfig, ransac_homography, required_iterations
 from hsolo.solvers import single_match_homography
 
@@ -131,8 +133,8 @@ def _outcome(fn, pool, config):
         return "NoModelFound"
 
 
-# at n=2000 _max_seed_block caps the 16 -> 32 doubling, so the walk crosses
-# capped blocks; one n_f there keeps the reference's time down
+# at n=2000 _max_seed_block caps the gate windows at their first size, 32, so
+# the walk crosses capped windows; one n_f there keeps the reference's time down
 @pytest.mark.parametrize(
     "w, n", [(w, n) for w in (0.03, 0.05, 0.2, 0.4) for n in (12, 200, 500)] + [(0.03, 2000), (0.4, 2000)]
 )
@@ -377,12 +379,156 @@ def test_gated_block_decides_every_seed_as_the_exact_block(case):
         _check_gated_block(seeds, src, dst, n_f, epsilon_r)
 
 
+# --- the gate's matrix product ------------------------------------------------
+#
+# Per window of seeds, one (seeds, 9) @ (9, n) product bounds each seed's count
+# of squared distances within the gate threshold from above. Its candidates
+# must include every row that the exact count over every row keeps, so the
+# exact gate decides every seed as before.
+
+
+def _exact_count_rows(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> np.ndarray:
+    """The rows that the exact count keeps when it counts every row of the block."""
+    top, ok = estimator._sketches(seeds)
+    x, y, _ = apply_homogeneous((*top[..., None], (0.0, 0.0, 1.0)), src[:, 0], src[:, 1])
+    dx, dy = x - dst[:, 0], y - dst[:, 1]
+    d2 = dx * dx + dy * dy
+    lo = (min(n_f, src.shape[0]) - 1) // 2
+    return np.flatnonzero(ok & (np.count_nonzero(d2 <= _gate_threshold(epsilon_r), axis=1) > lo))
+
+
+def _gate_candidates(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> np.ndarray:
+    """The product's candidates, checked to include every row that the exact count keeps."""
+    top, ok = estimator._sketches(seeds)
+    gate = estimator._GatePool(src, dst)
+    candidates = gate.candidates(top, ok, min(n_f, src.shape[0]), _gate_threshold(epsilon_r))
+    with np.errstate(over="ignore", invalid="ignore"):  # far-out points
+        kept = _exact_count_rows(seeds, src, dst, n_f, epsilon_r)
+    assert set(kept.tolist()) <= set(candidates.tolist()), (kept, candidates)
+    return candidates
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=gated_blocks())
+def test_gate_candidates_include_every_row_the_exact_count_keeps(case):
+    _gate_candidates(*case)
+
+
+def _usable_rows(seeds: Pool) -> list:
+    return np.flatnonzero(estimator._sketches(seeds)[1]).tolist()
+
+
+def test_gate_candidates_prune_a_lowrate_window():
+    pool = noisy_pool(500, 0.05, 13)
+    seeds, (src, dst) = as_pool(pool), pool_arrays(pool)
+    candidates = _gate_candidates(seeds, src, dst, 21, 20.0)
+    medians, passing = _seed_block(seeds, src, dst, 21, 20.0)
+    passed = [i for i, _ in passing]
+    assert 0 < len(passed) <= candidates.size < len(pool) // 10
+    assert set(passed) <= set(candidates.tolist())
+    # at a gate of +inf the product is skipped: every row is a candidate
+    assert _gate_candidates(seeds, src, dst, 21, math.inf).tolist() == list(range(len(pool)))
+
+
+# The product runs only where every nonzero pool coordinate lies in
+# [2**-200, 2**200]; elsewhere every usable row is a candidate. A 1.7e308
+# point is far outside.
+@pytest.mark.parametrize(
+    "coordinate, in_range",
+    [
+        (2.0**200, True),
+        (float(np.nextafter(2.0**200, math.inf)), False),
+        (2.0**-200, True),
+        (float(np.nextafter(2.0**-200, 0.0)), False),
+        (1.7e308, False),
+    ],
+)
+def test_gate_product_runs_only_within_its_coordinate_range(coordinate, in_range):
+    pool = noisy_pool(60, 0.4, 11)
+    seeds = as_pool(pool)
+    src, dst = (a.copy() for a in pool_arrays(pool))
+    src[0, 0] = dst[1, 1] = coordinate
+    assert (estimator._GatePool(src, dst).features is not None) == in_range
+    for epsilon_r in GATE_EPSILONS:
+        candidates = _gate_candidates(seeds, src, dst, 21, epsilon_r)
+        if not in_range and _gate_threshold(epsilon_r) < math.inf:
+            assert candidates.tolist() == _usable_rows(seeds)
+        with np.errstate(over="ignore", invalid="ignore"):  # far-out points
+            _check_gated_block(seeds, src, dst, 21, epsilon_r)
+
+
+def test_gate_candidates_at_a_subnormal_threshold_keep_exact_matches():
+    # epsilon_r=1e-160 squares below the smallest normal double. The first
+    # seed sends its own point onto the origin, and the targets are the
+    # images of the sources under its sketch, as the exact path computes
+    # them: that seed's squared distances are exactly 0, while the product's
+    # rounding leaves residues up to about 1e-10, far above the threshold.
+    rng = np.random.default_rng(21)
+    n = 40
+    rows = np.zeros((n, 8))
+    rows[:, 0:2] = rng.uniform(0.0, 640.0, size=(n, 2))
+    rows[:, 2], rows[:, 3], rows[:, 6], rows[:, 7] = 1.3, 0.2, 1.3 * 0.9, 0.2 + 0.7
+    top, ok = estimator._sketches(Pool(rows[:1]))
+    assert ok[0]
+    x, y, _ = apply_homogeneous((*top[:, :, 0], (0.0, 0.0, 1.0)), rows[:, 0], rows[:, 1])
+    assert x[0] == y[0] == 0.0  # the first seed's row, and so its sketch, stay as they were
+    rows[:, 4], rows[:, 5] = x, y
+    seeds = Pool(rows)
+    src, dst = pool_arrays(seeds)
+    assert _gate_threshold(1e-160) < 2 * sys.float_info.min
+    assert 0 in _gate_candidates(seeds, src, dst, 21, 1e-160).tolist()
+    _check_gated_block(seeds, src, dst, 21, 1e-160)
+
+
+def test_gate_leaves_out_an_overflowing_sketch():
+    # a 1e-200 -> 1e200 scale ratio overflows the sketch: the row is unusable,
+    # so it is a candidate only where the threshold is +inf, and no kernel warns
+    pool = noisy_pool(80, 0.2, 12)
+    rows = as_pool(pool).rows.copy()
+    rows[5, 2], rows[5, 6] = 1e-200, 1e200
+    seeds = Pool(rows)
+    src, dst = pool_arrays(pool)
+    assert 5 not in _usable_rows(seeds)
+    for epsilon_r in GATE_EPSILONS:
+        candidates = _gate_candidates(seeds, src, dst, 21, epsilon_r).tolist()
+        assert (5 in candidates) == (_gate_threshold(epsilon_r) == math.inf)
+        medians, _ = _seed_block(seeds, src, dst, 21, epsilon_r)
+        assert medians[5] == math.inf
+
+
+# --- the walk at the gate's extremes ------------------------------------------
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_walk_crosses_every_window_when_no_seed_passes(n):
+    pool = noisy_pool(n, 0.2, 300 + n)
+    config = HsoloConfig(epsilon_r=1e-6, seed=1)
+    with pytest.raises(NoModelFound) as raised:
+        hsolo_estimate(pool, config)
+    assert raised.value.iterations_run == n
+    assert _outcome(reference_hsolo_estimate, pool, config) == "NoModelFound"
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_walk_at_a_gate_that_squares_to_infinity_matches_reference(n):
+    # epsilon_r=1e300 gives a threshold of +inf: no product runs, and every
+    # seed is a candidate; every usable seed passes
+    assert _gate_threshold(1e300) == math.inf
+    pool = noisy_pool(n, 0.4, 400 + n)
+    for seed in (1, 2):
+        config = HsoloConfig(epsilon_r=1e300, seed=seed)
+        want = _outcome(reference_hsolo_estimate, pool, config)
+        assert want != "NoModelFound"
+        assert _outcome(hsolo_estimate, pool, config) == want, seed
+
+
 # --- filtered sets are cut lazily ---------------------------------------------
 #
-# _seed_block hands the walk a cut for each passing seed instead of the set:
-# seed_medians cuts none, and hsolo_estimate cuts one for each passing seed of
-# a block, whose inner searches run together before the walk replays them.
-# Seeds cut for a block that the walk then stops short of are speculative.
+# The exact gate hands its caller a cut for each passing seed instead of the
+# set: seed_medians cuts none, and hsolo_estimate cuts one for each passing
+# seed of a search batch, whose inner searches run together before the walk
+# replays them. Seeds cut for a batch that the walk then stops short of are
+# speculative.
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -405,48 +551,59 @@ def test_seed_medians_cuts_no_filtered_set(monkeypatch):
     assert cuts == []
 
 
-def test_walk_cuts_one_filtered_set_per_inner_search(monkeypatch):
-    blocks = []  # per block: how many seeds passed, and the positions of the seeds cut
-    seed_block = estimator._seed_block
+def _record_exact_gates(monkeypatch) -> list:
+    """Wrap the walk's exact gate: per call, its row count, how many rows passed, and the walk positions cut.
 
-    def recording_block(seeds, src, dst, n_f, epsilon_r):
-        medians, passing = seed_block(seeds, src, dst, n_f, epsilon_r)
-        start = sum(size for size, _, _ in blocks)
+    The walk labels each row of a batch with the seed's walk position, so a
+    passing row yields its position with its cut.
+    """
+    batches = []
+    exact_gate = estimator._exact_gate
+
+    def recording_gate(top, ok, labels, gate, take, epsilon_r):
+        medians, passing = exact_gate(top, ok, labels, gate, take, epsilon_r)
         cut_at = []
-        blocks.append((len(seeds), int(np.count_nonzero(medians <= epsilon_r)), cut_at))
+        batches.append((len(labels), int(np.count_nonzero(medians <= epsilon_r)), cut_at))
 
-        def recorded(j, cut):
+        def recorded(p, cut):
             def call():
-                cut_at.append(start + j)
+                cut_at.append(p)
                 return cut()
 
             return call
 
-        return medians, ((j, recorded(j, cut)) for j, cut in passing)
+        return medians, ((p, recorded(p, cut)) for p, cut in passing)
 
-    monkeypatch.setattr(estimator, "_seed_block", recording_block)
+    monkeypatch.setattr(estimator, "_exact_gate", recording_gate)
+    return batches
+
+
+def test_walk_cuts_one_filtered_set_per_inner_search(monkeypatch):
+    batches = _record_exact_gates(monkeypatch)  # per search batch: rows, rows passed, positions cut
     cuts = _count_calls(monkeypatch, estimator, "_filtered_set")
     searches = _count_calls(monkeypatch, estimator, "_Search")
     speculative = 0
     for w, n in [(0.4, 500), (0.2, 500), (0.05, 2000)]:
         for seed in range(3):
-            blocks.clear()
+            batches.clear()
             cuts.clear()
             searches.clear()
             result = hsolo_estimate(noisy_pool(n, w, n + round(100 * w)), HsoloConfig(seed=seed))
-            cut_at = [p for _, _, block_cuts in blocks for p in block_cuts]
+            cut_at = [p for _, _, batch_cuts in batches for p in batch_cuts]
             assert len(cuts) == len(searches) == len(cut_at) == len(set(cut_at)), (w, n, seed)
-            # every seed of a block is within the budget at the block's start,
-            # and only passing seeds are cut
-            for _, passed, block_cuts in blocks:
-                assert len(block_cuts) <= passed, (w, n, seed)
+            # a batch holds at most _SEARCH_BATCH gate candidates, every one
+            # within the budget at the batch's start, and only passing seeds
+            # are cut
+            for rows, passed, batch_cuts in batches:
+                assert 1 <= rows <= estimator._SEARCH_BATCH, (w, n, seed)
+                assert len(batch_cuts) <= passed, (w, n, seed)
             # every improvement comes from a seed that was cut and reached
             assert len(result.history) >= 1
             for h in result.history:
                 assert h.iteration - 1 in cut_at and h.iteration <= result.iterations_run, (w, n, seed)
             # a seed is reached exactly when its position is below iterations_run
             speculative += sum(p >= result.iterations_run for p in cut_at)
-    # some walks stopped before seeds that their last block had passed
+    # some walks stopped before seeds that their last batch had passed
     assert speculative > 0
 
 
@@ -458,24 +615,7 @@ def test_walk_cuts_one_filtered_set_per_inner_search(monkeypatch):
 
 
 def test_walk_refits_only_seeds_with_an_inlier_outside_the_best(monkeypatch):
-    sizes = []  # every block's seed count
-    cut_at = []  # every cut seed's position in the walk, in the order the searches are built
-    seed_block = estimator._seed_block
-
-    def recording_block(seeds, src, dst, n_f, epsilon_r):
-        medians, passing = seed_block(seeds, src, dst, n_f, epsilon_r)
-        start = sum(sizes)
-        sizes.append(len(seeds))
-
-        def recorded(j, cut):
-            def call():
-                cut_at.append(start + j)
-                return cut()
-
-            return call
-
-        return medians, ((j, recorded(j, cut)) for j, cut in passing)
-
+    batches = _record_exact_gates(monkeypatch)
     searches = []
     make_search = estimator._Search
 
@@ -494,14 +634,15 @@ def test_walk_refits_only_seeds_with_an_inlier_outside_the_best(monkeypatch):
             best.append(got[1].tolist())
         return got
 
-    monkeypatch.setattr(estimator, "_seed_block", recording_block)
     monkeypatch.setattr(estimator, "_Search", recording_search)
     monkeypatch.setattr(estimator, "_consensus_refit", recording_refit)
     total_refits = total_found = 0
     for seed in range(6):
-        for record in (sizes, cut_at, searches, refits, best):
+        for record in (batches, searches, refits, best):
             record.clear()
         result = hsolo_estimate(noisy_pool(500, 0.05, 500 + seed), HsoloConfig(seed=seed))
+        # every cut seed's position in the walk, in the order the searches are built
+        cut_at = [p for _, _, batch_cuts in batches for p in batch_cuts]
         assert len(cut_at) == len(searches)
         found = sum(p < result.iterations_run and bool(s.improvements) for p, s in zip(cut_at, searches))
         assert 1 <= len(refits) <= found, seed

@@ -12,17 +12,20 @@ The groups are ``hsolo_estimate`` at seeds 0 and 1, the same at
 ``w_f=0.3, n_f=12`` and at ``w_f=0.3`` (inner budgets of 369 draws, which
 at ``n_f=21`` some searches need past their first batch of 256), ``ransac_homography``
 capped at 10,000 draws, ``seed_medians`` of each pool against itself, and
-the filtered sets of every seed at a gate of +inf. Two more groups solve
+the gate medians and filtered sets of every seed at a gate of +inf and at
+the default ``epsilon_r=20``. Two more groups solve
 ``hsolo_estimate`` at seeds 0 and 1 on scenes of the accuracy regime at
 n=2000 (w in {0.2, 0.4}, noise 1.0, 0.1 and 0.05, four scenes per rate),
 where a solve makes about eight consensus refits, so changes to which
-seeds are refit show there. The inf-gate group calls the
+seeds are refit show there. The two gate groups call the
 private kernel ``hsolo.estimator._seed_block`` on each pool against itself,
 in blocks of ``_max_seed_block(n)`` seeds, with ``tools/cli_digest.py``'s two
 extreme byproduct rows (an overflowing sketch and a singular one) inserted in
-the middle of the pool; it hashes each seed's position and ``cut()``. Those
-two seeds' errors are all +inf, so their sets are pure tie order, which no
-solve and no command line reaches. A result's fingerprint holds the model's
+the middle of the pool; they hash each block's medians and each passing
+seed's position and ``cut()``. At +inf every seed passes, and the two extreme
+seeds' errors are all +inf, so their sets are pure tie order, which no solve
+and no command line reaches. At ``epsilon_r=20`` the gate's matrix product
+and exact count decide which seeds get exact medians. A result's fingerprint holds the model's
 bytes, the inlier indices, the support, ``iterations_run``, ``k_final`` and
 the history; a solve that raises ``NoModelFound`` digests as that name. Two
 checkouts give the same lines exactly when these results agree bit for bit::
@@ -52,6 +55,7 @@ BOUNDS = (640.0, 480.0)
 RANSAC_DRAWS = 10_000
 SCENES_PER_CELL = 4
 N_F = 21
+GATE = 20.0  # HsoloConfig's default epsilon_r
 # tools/cli_digest.py's extreme.csv rows: a 1e-200 -> 1e+200 scale ratio
 # (the sketch overflows) and a 1/200 one (the sketch is singular)
 EXTREME_ROWS = (
@@ -84,8 +88,8 @@ def _fingerprint(result) -> bytes:
     return repr(fields).encode()
 
 
-def _inf_gate_cuts(pool, digest) -> None:
-    """Feed each seed's ``(position, filtered set)`` at a gate of +inf, extreme rows inserted, to ``digest``."""
+def _gate_cuts(pool, epsilon_r: float, digest) -> None:
+    """Feed each block's gate medians and each passing seed's ``(position, filtered set)``, extreme rows inserted, to ``digest``."""
     from hsolo.estimator import _max_seed_block, _seed_block
     from hsolo.geometry import Pool, pool_arrays
 
@@ -94,7 +98,8 @@ def _inf_gate_cuts(pool, digest) -> None:
     src, dst = pool_arrays(seeds)
     rows = _max_seed_block(len(seeds))
     for i in range(0, len(seeds), rows):
-        _, passing = _seed_block(seeds[i : i + rows], src, dst, N_F, math.inf)
+        medians, passing = _seed_block(seeds[i : i + rows], src, dst, N_F, epsilon_r)
+        digest.update(medians.tobytes())
         for j, cut in passing:
             digest.update((i + j).to_bytes(8, "little") + cut().tobytes())
 
@@ -124,8 +129,9 @@ def main(argv: list[str]) -> int:
         ),
     }
     wide = {f"hsolo n=2000 noise=1.0/0.1/0.05 seed={seed}": solvers[f"hsolo seed={seed}"] for seed in (0, 1)}
-    inf_cuts = "seed_block cuts n_f=21 epsilon_r=inf, extreme rows"
-    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", inf_cuts, *wide]}
+    gates = {math.inf: "seed_block cuts n_f=21 epsilon_r=inf, extreme rows",
+             GATE: f"seed_block cuts n_f=21 epsilon_r={GATE:g}, extreme rows"}
+    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", *gates.values(), *wide]}
 
     def digest_solves(groups, cell, pool):
         for name, solve in groups.items():
@@ -139,8 +145,9 @@ def main(argv: list[str]) -> int:
         cell = label.encode() + b"\n"
         digest_solves(solvers, cell, pool)
         digests["seed_medians n_f=21"].update(cell + seed_medians(pool, pool, N_F).tobytes())
-        digests[inf_cuts].update(cell)
-        _inf_gate_cuts(pool, digests[inf_cuts])
+        for epsilon_r, name in gates.items():
+            digests[name].update(cell)
+            _gate_cuts(pool, epsilon_r, digests[name])
     for label, pool in _scenes((2000,), WIDE_RATES, WIDE_NOISE):
         digest_solves(wide, label.encode() + b"\n", pool)
     for name, digest in digests.items():
