@@ -9,7 +9,10 @@ iteration order by one rule (``Replay``), so an improvement found at
 iteration i still tightens the budget seen by iteration i + 1 exactly as in
 a one-at-a-time loop. Several searches over one scoring pool can draw,
 solve and score their first batches together, as hsolo's inner searches
-do, and each still ends as it would alone. A batch
+do, and each still ends as it would alone. A search keeps its sample
+points as one ``(2, 2, n)`` table, so a batch's samples are one gather in
+the solver's layout, and its models stay entry-major, ``(3, 3, c)``, through
+the validity test, the bound, the scorer and the replay. A batch
 is scored in cache-sized tiles of points, and only the elements whose squared
 x error alone is within the threshold go on to the y error, the singularity
 test and the count. Once a model has a support of 4, each batch is first
@@ -31,13 +34,15 @@ from .exceptions import DegenerateConfiguration, IllConditioned, NoModelFound, S
 from .geometry import (
     SINGULARITY_RTOL, Homography, Pool, as_pool, pool_arrays, transfer_errors, valid_homography
 )
-from .solvers import dlt_solve, solve_minimal_batch
+from .solvers import _solve_gathered, dlt_solve
 
 DEFAULT_MAX_ITERATIONS = 10_000_000
 
 _CHUNK = 2048
 # model x point elements scored per tile: one tile's x, y, w planes stay in cache
 _TILE_ELEMENTS = 32_768
+# model x point elements bounded per tile: one tile's float32 planes and mask fill about a 1 MB L2
+_BOUND_TILE_ELEMENTS = 65_536
 # relative and absolute slack of _SupportBound's float32 test (see there)
 _BOUND_RTOL = 2.0**-18
 _BOUND_ATOL = 2.0**-100
@@ -133,7 +138,7 @@ def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.n
 def _support_counts(models: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsilon: float) -> np.ndarray:
     """Inlier counts of each model over the scoring points.
 
-    Points are scored in tiles of about ``_TILE_ELEMENTS`` point x model
+    ``models`` is ``(3, 3, c)``, entry-major. Points are scored in tiles of about ``_TILE_ELEMENTS`` point x model
     elements. One ``(points, 3) @ (3, models)`` gemm per homography row
     fills a tile's x, y and w planes; it rounds as the stacked
     ``(3, 3) @ (3, n)`` product does, where ``(3c, 3) @ (3, n)`` would not.
@@ -143,15 +148,16 @@ def _support_counts(models: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsi
     the test ``|w| > SINGULARITY_RTOL * fro``, so a point mapped to the line
     at infinity, a NaN or an infinity never counts.
     """
-    c, n = len(models), len(dst)
+    c, n = models.shape[-1], len(dst)
     chunk = max(1, _TILE_ELEMENTS // max(c, 1))
-    rows = np.ascontiguousarray(models.transpose(1, 2, 0))  # rows[r]: every model's r-th row, (3, c)
+    rows = np.ascontiguousarray(models)  # rows[r]: every model's r-th row, (3, c)
     planes = np.empty((3, min(chunk, n), c))
     u, v = np.ascontiguousarray(dst.T)
     eps2 = epsilon * epsilon
     counts = np.zeros(c, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w_min = SINGULARITY_RTOL * np.sqrt((models**2).sum(axis=(1, 2)))
+        # each model's 9 squares summed as one contiguous row, the cut's summation order
+        w_min = SINGULARITY_RTOL * np.sqrt(np.ascontiguousarray((rows**2).reshape(9, c).T).sum(axis=1))
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             np.matmul(src_h[lo:hi], rows, out=planes[:, : hi - lo])
@@ -203,8 +209,13 @@ class _SupportBound:
     model's test ``0 <= margin`` counts every point, so it bounds at n.
     A pool with a non-finite coordinate, ``(1 + eps) * sum(a) >= 2**100``
     (float32 could overflow) or ``eps < 2**-100`` (``eps**2`` could
-    underflow) is not bounded: every model gets n. Buffers are allocated once,
-    for one batch of at most ``_CHUNK`` models.
+    underflow) is not bounded: every model gets n.
+
+    Points are bounded in tiles of about ``_BOUND_TILE_ELEMENTS`` (65,536)
+    point x model elements, twice the scorer's: the float32 planes and the
+    mask of one tile, about 0.8 MB, stay in a 1 MB L2. A tile holds at most
+    255 points, since each tile's per-model hit counts are ``uint8``.
+    Buffers are allocated once, for one batch of at most ``_CHUNK`` models.
     """
 
     def __init__(self, src_h: np.ndarray, dst: np.ndarray, epsilon: float):
@@ -216,19 +227,19 @@ class _SupportBound:
         self.table = table.astype(np.float32) if epsilon >= _BOUND_ATOL and total < _BOUND_RANGE else None
         self.atol = _BOUND_ATOL * total
         self.coef = np.empty(27 * _CHUNK, dtype=np.float32)
-        self.planes = np.empty(3 * _TILE_ELEMENTS, dtype=np.float32)
-        self.mask = np.empty(_TILE_ELEMENTS, dtype=bool)
+        self.planes = np.empty(3 * _BOUND_TILE_ELEMENTS, dtype=np.float32)
+        self.mask = np.empty(_BOUND_TILE_ELEMENTS, dtype=bool)
         self.hits = np.empty(_CHUNK, dtype=np.uint8)
 
     def __call__(self, models: np.ndarray) -> np.ndarray:
-        """``(c,)`` int64 bounds, each at least ``_support_counts``' count of that model."""
-        c, n = len(models), self.n
+        """``(c,)`` int64 bounds of ``(3, 3, c)`` models, each at least ``_support_counts``' count of that model."""
+        c, n = models.shape[-1], self.n
         if self.table is None:
             return np.full(c, n, dtype=np.int64)
-        top = np.abs(models).max(axis=(1, 2), initial=0.0)
+        top = np.abs(models).max(axis=(0, 1), initial=0.0)
         _, exp = np.frexp(top)
-        h = np.ldexp(models, -exp[:, None, None]).transpose(1, 2, 0)  # h[r]: row r of every model
-        h[:, :, ~(np.isfinite(top) & (exp >= -600))] = 0.0
+        h = np.ldexp(models, -exp)  # h[r]: row r of every model
+        h[..., ~(np.isfinite(top) & (exp >= -600))] = 0.0
         coef = self.coef[: 27 * c].reshape(3, 9, c)
         coef.fill(0.0)
         coef[0, :3], coef[0, 3:6] = h[0], h[2]
@@ -238,7 +249,7 @@ class _SupportBound:
         near, far = a[:3] @ mag, a[3:].reshape(2, 3) @ mag[2]  # (3, c) and (2, c) sums of a_j |h_rj|
         size = np.maximum(near[0] + far[0], near[1] + far[1]) + self.epsilon * near[2]
         margin = (_BOUND_RTOL * size + self.atol).astype(np.float32)
-        chunk = min(255, max(1, _TILE_ELEMENTS // max(c, 1)))  # uint8 hit counts per tile
+        chunk = min(255, max(1, _BOUND_TILE_ELEMENTS // max(c, 1)))  # uint8 hit counts per tile
         hits = self.hits[:c]
         counts = np.zeros(c, dtype=np.int64)
         for lo in range(0, n, chunk):
@@ -305,11 +316,11 @@ class _ScorePool:
         return self._bound(models)
 
 
-def _solve(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Models of a batch of (c, 4, 2) samples and the mask of those that are valid homographies."""
+def _solve(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(3, 3, c) models of a batch of gathered (2, 2, 4, c) samples, and the mask of those that are valid homographies."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        models, valid = solve_minimal_batch(src, dst)
-        valid &= valid_homography(models.transpose(1, 2, 0))
+        models, valid = _solve_gathered(pts)
+        valid &= valid_homography(models)
     return models, valid
 
 
@@ -317,7 +328,10 @@ class _Search:
     """One adaptive RANSAC search: its draws, its budget and its best model so far.
 
     Draws are 4-samples of the sample points ``s_src -> s_dst`` from
-    ``rng``; a degenerate sample consumes its iteration. The budget starts
+    ``rng``; a degenerate sample consumes its iteration. The sample points
+    are kept as one ``(2, 2, n)`` table (coordinate, image, point), so a
+    batch's samples are one gather, in the layout the solver takes, and its
+    models stay ``(3, 3, c)`` through the bound, the scorer and the replay. The budget starts
     from ``w_init`` and is re-derived from support / len(s_src) at each
     improvement, never increasing. Batches start at 256 draws, because an
     early improvement often collapses k and candidates drawn past the
@@ -329,41 +343,42 @@ class _Search:
 
     def __init__(self, rng: np.random.Generator, s_src: np.ndarray, s_dst: np.ndarray, w_init: float,
                  config: RansacConfig):
-        self.rng, self.s_src, self.s_dst, self.config = rng, s_src, s_dst, config
+        self.rng, self.config = rng, config
+        self.ns, self.table = len(s_src), np.stack((s_src.T, s_dst.T), axis=1)
         self.walk = Replay(required_iterations(w_init, config.sample_size, config.p, config.max_iterations))
         self.batch = 256
         self.best_support = 0
         self.improvements: list[tuple[int, int, int, np.ndarray]] = []
 
-    def draw(self) -> tuple[int, int, np.ndarray, np.ndarray]:
-        """The next batch: ``(start, end, src, dst)``, its iterations and its (c, 4, 2) samples."""
+    def draw(self) -> tuple[int, int, np.ndarray]:
+        """The next batch: ``(start, end, pts)``, its iterations and its (2, 2, 4, c) samples."""
         start = self.walk.it
         end = start + min(self.batch, self.walk.k - start)
         self.batch = min(2 * self.batch, _CHUNK)
-        samples = _draw_distinct(self.rng, len(self.s_src), self.config.sample_size, end - start)
-        return start, end, self.s_src[samples], self.s_dst[samples]
+        samples = _draw_distinct(self.rng, self.ns, self.config.sample_size, end - start)
+        return start, end, self.table.take(samples.T, axis=2)
 
     def replay(self, start: int, end: int, rows: np.ndarray, supports: np.ndarray, models: np.ndarray) -> None:
-        """Replay a batch's scored draws (offsets ``rows``, in order); a draw left unscored cannot improve."""
+        """Replay a batch's scored draws (offsets ``rows``, in order, into its ``(3, 3, c)`` models); a draw left unscored cannot improve."""
         cfg = self.config
         for j, sup in self.walk.block(start, end, zip(rows.tolist(), supports.tolist())):
             if sup >= 4 and sup > self.best_support:
                 self.best_support = sup
-                w_hat = min(1.0, sup / len(self.s_src))
+                w_hat = min(1.0, sup / self.ns)
                 self.walk.improve(start + j + 1, required_iterations(w_hat, cfg.sample_size, cfg.p, cfg.max_iterations))
-                self.improvements.append((self.walk.it, sup, self.walk.k, models[j]))
+                self.improvements.append((self.walk.it, sup, self.walk.k, models[..., j]))
 
     def run(self, scorer: _ScorePool) -> None:
         """Draw, solve, score and replay batches until the budget is spent."""
         while self.walk.it < self.walk.k:
-            start, end, src, dst = self.draw()
-            models, valid = _solve(src, dst)
+            start, end, pts = self.draw()
+            models, valid = _solve(pts)
             rows = np.flatnonzero(valid)
             if self.best_support >= 4:
                 # a candidate whose bound is at most best_support cannot improve at its
                 # turn, since best_support only grows during the replay
-                rows = rows[scorer.bound(models[rows]) > self.best_support]
-            self.replay(start, end, rows, scorer.counts(models[rows]), models)
+                rows = rows[scorer.bound(models[..., rows]) > self.best_support]
+            self.replay(start, end, rows, scorer.counts(models[..., rows]), models)
 
 
 def _run_searches(searches: list[_Search], scorer: _ScorePool) -> None:
@@ -377,15 +392,15 @@ def _run_searches(searches: list[_Search], scorer: _ScorePool) -> None:
     if not searches:
         return
     batches = [s.draw() for s in searches]
-    models, valid = _solve(np.concatenate([b[2] for b in batches]), np.concatenate([b[3] for b in batches]))
+    models, valid = _solve(np.concatenate([pts for _, _, pts in batches], axis=3))
     rows = np.flatnonzero(valid)
-    supports = scorer.counts(models[rows])
-    offsets = np.cumsum([0] + [end - start for start, end, _, _ in batches]).tolist()
+    supports = scorer.counts(models[..., rows])
+    offsets = np.cumsum([0] + [end - start for start, end, _ in batches]).tolist()
     cuts = np.searchsorted(rows, offsets).tolist()
-    for i, (search, (start, end, _, _)) in enumerate(zip(searches, batches)):
+    for i, (search, (start, end, _)) in enumerate(zip(searches, batches)):
         lo, hi = offsets[i], offsets[i + 1]
         mine = slice(cuts[i], cuts[i + 1])
-        search.replay(start, end, rows[mine] - lo, supports[mine], models[lo:hi])
+        search.replay(start, end, rows[mine] - lo, supports[mine], models[..., lo:hi])
         search.run(scorer)
 
 

@@ -162,7 +162,19 @@ def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, n
     (a collinear source triple, four coincident targets, a model that is not
     finite) carry garbage models and must be ignored by the caller. Each
     valid model matches :func:`dlt_solve` on the same sample up to rounding
-    and scale.
+    and scale. A caller of :func:`_solve_gathered`, which RANSAC calls
+    directly on its gathered samples.
+    """
+    h, valid = _solve_gathered(np.array((src.T, dst.T)).transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(h.transpose(2, 0, 1)), valid
+
+
+def _solve_gathered(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form on gathered samples: models entry-major, as RANSAC's draw loop keeps them.
+
+    pts: (2, 2, 4, c), coordinate, then image (source, target), then point,
+    then sample. Returns (models (3, 3, c), valid (c,)), with the validity
+    rules of :func:`solve_minimal_batch`.
 
     With B(p) the map sending the projective basis e1, e2, e3, (1, 1, 1) onto
     four points, the model is B(dst) adj(B(src)) (Heckbert 1989). In each
@@ -171,7 +183,7 @@ def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, n
     lambda = (t123, -t023, t013). The product is written out entry by entry,
     all elementwise over the batch, then taken back to pixel coordinates.
     """
-    pts = np.array((src.T, dst.T)).transpose(1, 2, 0, 3)  # (coordinate, point, image, sample)
+    pts = pts.transpose(0, 2, 1, 3)  # (coordinate, point, image, sample)
     n, e, t = _triangles(pts)
     valid = _no_collinear_triple(n[:, :, 0], e[0], t[:, 0]) & n[:, :, 1].any(axis=(0, 1))
     (ax, bx, _), (ay, by, _) = n[:, :, 0]
@@ -182,7 +194,7 @@ def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, n
     _, t013, t023, t123 = t
     g0, g1, g2 = t123[1] * (t023[0] * t013[0]), t023[1] * (t123[0] * t013[0]), t013[1] * (t123[0] * t023[0])
     u, v, p, q = g1 * by, g2 * ay, g1 * bx, g2 * ax
-    h = np.empty((3, 3, len(src)))
+    h = np.empty((3, 3, pts.shape[-1]))
     # undo the frames' scales: 2**e_dst on the target rows, 2**-e_src on the source columns
     h[:2, 0] = np.ldexp(a * u - b * v, e[1] - e[0])
     h[:2, 1] = np.ldexp(b * q - a * p, e[1] - e[0])
@@ -193,4 +205,4 @@ def solve_minimal_batch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, n
     h[:, 2] -= h[:, 0] * pts[0, 0, 0] + h[:, 1] * pts[1, 0, 0]
     h[:2] += pts[:, 0, 1, None] * h[2]
     valid &= np.isfinite(h).all(axis=(0, 1))
-    return np.ascontiguousarray(h.transpose(2, 0, 1)), valid
+    return h, valid

@@ -31,7 +31,7 @@ from hsolo.geometry import (
     SINGULARITY_RTOL, as_pool, pool_arrays, project_points, transfer_errors, valid_homography
 )
 from hsolo.robust import EstimationResult, Improvement
-from hsolo.solvers import solve_minimal_batch
+from hsolo.solvers import _solve_gathered, solve_minimal_batch
 from hsolo.synthetic import SceneSpec, generate_scene, random_scene_truth
 
 from conftest import exact_pool, pool_from_arrays, random_points, random_truth, result_fingerprint
@@ -280,17 +280,22 @@ def reference_support_counts(models, valid, src_h, dst, epsilon):
     return counts.astype(np.int64)
 
 
+def entry_major(models):
+    """``(c, 3, 3)`` models as the draw loop keeps them, ``(3, 3, c)``."""
+    return np.ascontiguousarray(models.transpose(1, 2, 0))
+
+
 def valid_support_counts(models, valid, src_h, dst, epsilon):
     """``_support_counts`` as ``ransac_homography`` calls it: valid rows scored in one call, the rest 0."""
     rows = np.flatnonzero(valid)
     counts = np.zeros(len(models), dtype=np.int64)
-    counts[rows] = robust._support_counts(models[rows], src_h, dst, epsilon)
+    counts[rows] = robust._support_counts(entry_major(models[rows]), src_h, dst, epsilon)
     return counts
 
 
 def check_support_counts(models, valid, src_h, dst, epsilon):
     """The kernel on every model and on the valid ones against the reference; returns the former."""
-    got = robust._support_counts(models, src_h, dst, epsilon)
+    got = robust._support_counts(entry_major(models), src_h, dst, epsilon)
     assert got.dtype == np.int64
     want = reference_support_counts(models, np.ones(len(models), dtype=bool), src_h, dst, epsilon)
     np.testing.assert_array_equal(got, want)
@@ -318,9 +323,22 @@ def point_chunk_cases(draw):
     """Scoring pools around the point chunk ``_TILE_ELEMENTS // c``; see ``scoring_case``."""
     c = draw(st.one_of(st.integers(1, 300), st.sampled_from([11, 256, 2048, robust._TILE_ELEMENTS + 1])))
     chunk = max(1, robust._TILE_ELEMENTS // c)
-    n = draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, 2 * chunk + 1})))
+    n = draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1})))
     if n * c > 2_000_000:
         n = chunk
+    return scoring_case(draw, n, c)
+
+
+@st.composite
+def bound_chunk_cases(draw):
+    """Scoring pools around the bound's point chunk ``min(255, _BOUND_TILE_ELEMENTS // c)``; see ``scoring_case``.
+
+    Up to 256 models the chunk is clamped at 255 points, and ``chunk + 1``
+    points leave a last tile of one point.
+    """
+    c = draw(st.one_of(st.integers(1, 300), st.sampled_from([256, 257, robust._CHUNK])))
+    chunk = min(255, max(1, robust._BOUND_TILE_ELEMENTS // c))
+    n = draw(st.sampled_from(sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1})))
     return scoring_case(draw, n, c)
 
 
@@ -425,13 +443,13 @@ def test_support_counts_of_an_empty_scoring_pool_are_zero():
 
 
 def support_bounds(models, src_h, dst, epsilon):
-    return robust._SupportBound(src_h, dst, epsilon)(models)
+    return robust._SupportBound(src_h, dst, epsilon)(entry_major(models))
 
 
 @st.composite
 def bound_cases(draw):
     """``scoring_case``s cut to one batch, some models scaled to 1e150 and some points moved to 1e200."""
-    models, valid, src_h, dst, epsilon = draw(st.one_of(scoring_cases(), point_chunk_cases()))
+    models, valid, src_h, dst, epsilon = draw(st.one_of(scoring_cases(), point_chunk_cases(), bound_chunk_cases()))
     # ransac_homography bounds at most _CHUNK models per call
     models, valid = models[: robust._CHUNK], valid[: robust._CHUNK]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -445,7 +463,7 @@ def bound_cases(draw):
 def assert_bounds_hold(case):
     models, _, src_h, dst, epsilon = case
     bounds = support_bounds(models, src_h, dst, epsilon)
-    counts = robust._support_counts(models, src_h, dst, epsilon)
+    counts = robust._support_counts(entry_major(models), src_h, dst, epsilon)
     assert bounds.dtype == np.int64 and bounds.shape == counts.shape
     assert np.all(bounds >= counts), np.flatnonzero(bounds < counts)
     assert np.all(bounds <= len(dst))
@@ -482,7 +500,7 @@ def test_support_bound_holds_for_a_full_batch(rng):
     models += rng.normal(0.0, 1e-4, size=(c, 3, 3))
     src_h = np.column_stack([src, np.ones(len(src))])
     bounds = support_bounds(models, src_h, dst, 4.0)
-    counts = robust._support_counts(models, src_h, dst, 4.0)
+    counts = robust._support_counts(entry_major(models), src_h, dst, 4.0)
     assert counts.max() > 0 and np.all(bounds >= counts)
 
 
@@ -524,14 +542,14 @@ def test_pruned_solve_matches_the_unpruned_solve(monkeypatch, n, w):
     support_counts = robust._support_counts
 
     def counting(models, *args):
-        assert len(models) <= robust._CHUNK
-        scored.append(len(models))
+        assert models.shape[-1] <= robust._CHUNK
+        scored.append(models.shape[-1])
         return support_counts(models, *args)
 
     monkeypatch.setattr(robust, "_support_counts", counting)
     got = ransac_homography(pool, pool, None, cfg)
     pruned = sum(scored)
-    monkeypatch.setattr(robust._SupportBound, "__call__", lambda self, models: np.full(len(models), self.n + 1))
+    monkeypatch.setattr(robust._SupportBound, "__call__", lambda self, models: np.full(models.shape[-1], self.n + 1))
     scored.clear()
     assert result_fingerprint(got) == result_fingerprint(ransac_homography(pool, pool, None, cfg))
     # past the first batch, scored before any support of 4, few candidates need exact scores;
@@ -547,7 +565,7 @@ def test_tiled_kernel_gives_the_same_low_rate_solve(monkeypatch, seed):
     cfg = RansacConfig(max_iterations=10_000, seed=seed)
 
     def reference(models, *args):
-        return reference_support_counts(models, np.ones(len(models), dtype=bool), *args)
+        return reference_support_counts(models.transpose(2, 0, 1), np.ones(models.shape[-1], dtype=bool), *args)
 
     got = ransac_homography(pool, pool, None, cfg)
     monkeypatch.setattr(robust, "_support_counts", reference)
@@ -580,12 +598,55 @@ def test_draw_distinct_matches_the_sort_based_reference(n, count):
     assert all(len(set(row)) == 4 for row in got.tolist())
 
 
+# --- one gather per batch, entry-major models ------------------------------------
+#
+# A search keeps its sample pool as one (coordinate, image, point) table,
+# gathers a batch in one take and solves it with the closed form's
+# entry-major kernel. The public (c, 4, 2) solver, with the validity test on
+# its transposed models, is the reference.
+
+
+@st.composite
+def gathered_batches(draw):
+    """A 12-point pool with repeated points, a collinear triple and coincident targets, scaled, and a batch size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src = rng.uniform(-300.0, 300.0, size=(12, 2))
+    dst = rng.uniform(-300.0, 300.0, size=(12, 2))
+    src[:5] = rng.integers(-2, 3, size=(5, 2))  # a 5x5 grid: repeats and collinear triples
+    src[5] = src[6]  # a repeated point
+    src[7:10] = [[1.0, 2.0], [4.0, 3.0], [7.0, 4.0]]  # a collinear triple
+    dst[8:] = dst[8]  # four coincident targets
+    scales = draw(st.sampled_from([(1.0, 1.0), (1e-150, 1e-150), (1e150, 1e150), (1e-150, 1e150), (1e150, 1e-150)]))
+    return src * scales[0], dst * scales[1], draw(st.sampled_from([1, 11, 44, 2048])), rng.integers(2**32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gathered_batches())
+def test_gathered_batches_solve_as_the_public_solver(case):
+    """A search's one-gather draw and the entry-major kernel give ``solve_minimal_batch``'s bits and masks."""
+    src, dst, c, seed = case
+    search = robust._Search(np.random.default_rng(seed), src, dst, 1.0, RansacConfig())
+    search.walk.k, search.batch = c, c
+    start, end, pts = search.draw()
+    samples = robust._draw_distinct(np.random.default_rng(seed), len(src), 4, c)
+    assert (start, end, pts.shape) == (0, c, (2, 2, 4, c))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        models, valid = _solve_gathered(pts)
+        valid &= valid_homography(models)
+        want, want_valid = solve_minimal_batch(src[samples], dst[samples])
+        want_valid &= valid_homography(want.transpose(1, 2, 0))
+    assert models.shape == (3, 3, c)
+    assert models.transpose(2, 0, 1).tobytes() == want.tobytes()
+    np.testing.assert_array_equal(valid, want_valid)
+
+
 # --- the replay against the loop that gave every draw a slot ------------------
 #
 # ransac_homography replays only the draws it scored. The reference below is
 # the batch loop it replaced, kept verbatim apart from names: every draw of a
 # batch gets a support slot, zero unless scored, and the replay steps through
-# all of them one at a time.
+# all of them one at a time. It solves with the public ``(c, 4, 2)`` closed
+# form and hands the bound and the scorer its models entry-major.
 
 
 def reference_ransac_homography(sample_pool, score_pool, w_init, config: RansacConfig) -> EstimationResult:
@@ -617,9 +678,9 @@ def reference_ransac_homography(sample_pool, score_pool, w_init, config: RansacC
         if best_support >= 4:
             if bound is None:
                 bound = robust._SupportBound(src_h, f_dst, config.epsilon)
-            rows = rows[bound(models[rows]) > best_support]
+            rows = rows[bound(entry_major(models[rows])) > best_support]
         supports = np.zeros(chunk, dtype=np.int64)
-        supports[rows] = robust._support_counts(models[rows], src_h, f_dst, config.epsilon)
+        supports[rows] = robust._support_counts(entry_major(models[rows]), src_h, f_dst, config.epsilon)
         for j, sup in enumerate(supports.tolist()):
             if it >= k:
                 break

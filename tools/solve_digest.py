@@ -17,7 +17,13 @@ the default ``epsilon_r=20``. Two more groups solve
 ``hsolo_estimate`` at seeds 0 and 1 on scenes of the accuracy regime at
 n=2000 (w in {0.2, 0.4}, noise 1.0, 0.1 and 0.05, four scenes per rate),
 where a solve makes about eight consensus refits, so changes to which
-seeds are refit show there. The two gate groups call the
+seeds are refit show there. ``ransac_homography`` at its default cap runs
+on the cells with n in {200, 500} and w >= 0.1, where budgets adapt and
+batches grow past 256 draws. One group hashes ``solve_minimal_batch``'s
+models and masks, with no pool: random, integer-grid (repeated points,
+collinear triples, and coincident targets in every third sample) and
+far-scaled (1e-150 and 1e+150, and the two mixed) samples, at batch sizes
+1, 11 and 2048. The two gate groups call the
 private kernel ``hsolo.estimator._seed_block`` on each pool against itself,
 in blocks of ``_max_seed_block(n)`` seeds, with ``tools/cli_digest.py``'s two
 extreme byproduct rows (an overflowing sketch and a singular one) inserted in
@@ -53,6 +59,9 @@ WIDE_RATES = (0.2, 0.4)
 WIDE_NOISE = (1.0, 0.1, 0.05)
 BOUNDS = (640.0, 480.0)
 RANSAC_DRAWS = 10_000
+# the cells where uncapped RANSAC runs: its budget adapts within seconds
+UNCAPPED_SIZES, UNCAPPED_RATES = (200, 500), (0.1, 0.2, 0.4)
+MINIMAL_SIZES = (1, 11, 2048)
 SCENES_PER_CELL = 4
 N_F = 21
 GATE = 20.0  # HsoloConfig's default epsilon_r
@@ -77,6 +86,20 @@ def _scenes(sizes=SIZES, rates=RATES, noise=NOISE):
             seed=int(rng.integers(2**63)),
         )
         yield f"n={n} w={w} scene={i}", generate_scene(spec)[0]
+
+
+def _minimal_batches():
+    """(label, src, dst) batches of (c, 4, 2) samples for each c in ``MINIMAL_SIZES``, from fixed seeds."""
+    for c in MINIMAL_SIZES:
+        rng = np.random.default_rng((c, 4))
+        src, dst = rng.uniform(-500.0, 500.0, size=(2, c, 4, 2))
+        yield f"random c={c}", src, dst
+        # a 5x5 grid: repeated points and collinear triples are common
+        grid_src, grid_dst = rng.integers(-2, 3, size=(2, c, 4, 2)).astype(float)
+        grid_dst[::3] = grid_dst[::3, :1]  # four coincident targets
+        yield f"grid c={c}", grid_src, grid_dst
+        for a, b in ((1e-150, 1e-150), (1e150, 1e150), (1e-150, 1e150), (1e150, 1e-150)):
+            yield f"scaled {a:g} {b:g} c={c}", src * a, dst * b
 
 
 def _fingerprint(result) -> bytes:
@@ -115,6 +138,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(src))
     from hsolo import HsoloConfig, NoModelFound, RansacConfig, hsolo_estimate, ransac_homography
     from hsolo.estimator import seed_medians
+    from hsolo.solvers import solve_minimal_batch
 
     solvers = {
         "hsolo seed=0": lambda pool: hsolo_estimate(pool, HsoloConfig(seed=0)),
@@ -129,9 +153,15 @@ def main(argv: list[str]) -> int:
         ),
     }
     wide = {f"hsolo n=2000 noise=1.0/0.1/0.05 seed={seed}": solvers[f"hsolo seed={seed}"] for seed in (0, 1)}
+    uncapped = {
+        "ransac default cap, n in 200/500, w >= 0.1": lambda pool: ransac_homography(pool, pool, None, RansacConfig(seed=0))
+    }
+    minimal = "solve_minimal_batch c in 1/11/2048"
     gates = {math.inf: "seed_block cuts n_f=21 epsilon_r=inf, extreme rows",
              GATE: f"seed_block cuts n_f=21 epsilon_r={GATE:g}, extreme rows"}
-    digests = {name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", *gates.values(), *wide]}
+    digests = {
+        name: hashlib.sha256() for name in [*solvers, "seed_medians n_f=21", *gates.values(), *wide, *uncapped, minimal]
+    }
 
     def digest_solves(groups, cell, pool):
         for name, solve in groups.items():
@@ -150,6 +180,12 @@ def main(argv: list[str]) -> int:
             _gate_cuts(pool, epsilon_r, digests[name])
     for label, pool in _scenes((2000,), WIDE_RATES, WIDE_NOISE):
         digest_solves(wide, label.encode() + b"\n", pool)
+    for label, pool in _scenes(UNCAPPED_SIZES, UNCAPPED_RATES):
+        digest_solves(uncapped, label.encode() + b"\n", pool)
+    for label, src, dst in _minimal_batches():
+        with np.errstate(all="ignore"):
+            models, valid = solve_minimal_batch(src, dst)
+        digests[minimal].update(label.encode() + b"\n" + models.tobytes() + valid.tobytes())
     for name, digest in digests.items():
         print(f"{digest.hexdigest()}  {name}", flush=True)
     return 0
