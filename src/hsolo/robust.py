@@ -138,8 +138,8 @@ def _draw_distinct(rng: np.random.Generator, n: int, s: int, count: int) -> np.n
 def _support_counts(models: np.ndarray, src_h: np.ndarray, dst: np.ndarray, epsilon: float) -> np.ndarray:
     """Inlier counts of each model over the scoring points.
 
-    ``models`` is ``(3, 3, c)``, entry-major. Points are scored in tiles of about ``_TILE_ELEMENTS`` point x model
-    elements. One ``(points, 3) @ (3, models)`` gemm per homography row
+    ``models`` is ``(3, 3, c)``, entry-major. Points are scored in tiles of
+    about ``_TILE_ELEMENTS`` point x model elements. One ``(points, 3) @ (3, models)`` gemm per homography row
     fills a tile's x, y and w planes; it rounds as the stacked
     ``(3, 3) @ (3, n)`` product does, where ``(3c, 3) @ (3, n)`` would not.
     Only elements with ``dx * dx <= epsilon**2`` (``dx = x / w - u``) go on:
@@ -317,7 +317,7 @@ class _ScorePool:
 
 
 def _solve(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(3, 3, c) models of a batch of gathered (2, 2, 4, c) samples, and the mask of those that are valid homographies."""
+    """(3, 3, c) models of gathered (2, 2, 4, c) samples, and the mask of those that are valid homographies."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         models, valid = _solve_gathered(pts)
         valid &= valid_homography(models)
@@ -331,9 +331,9 @@ class _Search:
     ``rng``; a degenerate sample consumes its iteration. The sample points
     are kept as one ``(2, 2, n)`` table (coordinate, image, point), so a
     batch's samples are one gather, in the layout the solver takes, and its
-    models stay ``(3, 3, c)`` through the bound, the scorer and the replay. The budget starts
-    from ``w_init`` and is re-derived from support / len(s_src) at each
-    improvement, never increasing. Batches start at 256 draws, because an
+    models stay ``(3, 3, c)`` through the bound, the scorer and the replay.
+    The budget starts from ``w_init`` and is re-derived from
+    support / len(s_src) at each improvement, never increasing. Batches start at 256 draws, because an
     early improvement often collapses k and candidates drawn past the
     collapsed budget are wasted work, and double up to ``_CHUNK``. Each
     improvement is kept as ``(iteration, support, k_after, model)`` with the
@@ -359,7 +359,10 @@ class _Search:
         return start, end, self.table.take(samples.T, axis=2)
 
     def replay(self, start: int, end: int, rows: np.ndarray, supports: np.ndarray, models: np.ndarray) -> None:
-        """Replay a batch's scored draws (offsets ``rows``, in order, into its ``(3, 3, c)`` models); a draw left unscored cannot improve."""
+        """Replay a batch's scored draws (offsets ``rows`` into its ``(3, 3, c)`` models, in order).
+
+        A draw left unscored cannot improve.
+        """
         cfg = self.config
         for j, sup in self.walk.block(start, end, zip(rows.tolist(), supports.tolist())):
             if sup >= 4 and sup > self.best_support:

@@ -73,7 +73,8 @@ def main(argv: list[str]) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        old, new = _load(args.old_src.resolve(), "hsolo_a", Path(tmp)), _load(args.new_src.resolve(), "hsolo_b", Path(tmp))
+        old = _load(args.old_src.resolve(), "hsolo_a", Path(tmp))
+        new = _load(args.new_src.resolve(), "hsolo_b", Path(tmp))
         from hsolo_a.synthetic import SceneSpec, generate_scene, random_scene_truth
 
         pools = []

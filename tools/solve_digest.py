@@ -154,7 +154,9 @@ def main(argv: list[str]) -> int:
     }
     wide = {f"hsolo n=2000 noise=1.0/0.1/0.05 seed={seed}": solvers[f"hsolo seed={seed}"] for seed in (0, 1)}
     uncapped = {
-        "ransac default cap, n in 200/500, w >= 0.1": lambda pool: ransac_homography(pool, pool, None, RansacConfig(seed=0))
+        "ransac default cap, n in 200/500, w >= 0.1": lambda pool: ransac_homography(
+            pool, pool, None, RansacConfig(seed=0)
+        )
     }
     minimal = "solve_minimal_batch c in 1/11/2048"
     gates = {math.inf: "seed_block cuts n_f=21 epsilon_r=inf, extreme rows",
