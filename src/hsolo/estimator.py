@@ -8,14 +8,15 @@ outer loop walks seed correspondences of a shuffled pool, uses the median
 filtered error as a cheap gate to skip hopeless seeds, and adapts its
 iteration budget as support improves. Seeds are gated a window at a time:
 one matrix product per window screens out the seeds that cannot pass (the
-idea of R-RANSAC's pre-test, Chum & Matas 2002, applied to seeds), and only
-the candidates left get exact errors, gate medians and filtered sets. Their
-inner searches run a few candidates at a time, and then the seeds are
-replayed in order, so the budget and draws are those of a one-at-a-time
-loop. A reached seed's model gets the consensus refit only if one of its
-inliers lies outside the best consensus set so far, as LO-RANSAC (Chum,
-Matas & Kittler 2003) optimises only hypotheses that may become the best;
-the other seeds would refit a subset of the best's inliers.
+idea of R-RANSAC's pre-test, Chum & Matas 2002, applied to seeds) and is
+the gate's only count; only the candidates left get exact errors and gate
+medians, and the passing ones filtered sets. Their inner searches run a few
+candidates at a time, and then the seeds are replayed in order, so the
+budget and draws are those of a one-at-a-time loop. A reached seed's model
+gets the consensus refit only if one of its inliers lies outside the best
+consensus set so far, as LO-RANSAC (Chum, Matas & Kittler 2003) optimises
+only hypotheses that may become the best; the other seeds would refit a
+subset of the best's inliers.
 The winning model is polished by a damped Gauss-Newton (Levenberg-Marquardt)
 pass over its inliers, and the whole pool is re-thresholded under the result.
 Pools are taken as a :class:`~hsolo.geometry.Pool` or as a sequence of
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import partial
 
@@ -133,8 +133,8 @@ def _gate_threshold(epsilon_r: float) -> float:
     is subnormal, each is off by at most 2**-1074 absolute, which the
     smallest normal double added here covers. A sum that overflows needs
     ``epsilon_r**2`` to overflow too, and that gives +inf, which keeps every
-    row. A NaN squared distance is not counted; its error is NaN or +inf,
-    which the exact path makes +inf, above every finite epsilon_r.
+    row. A NaN squared distance goes with an error of NaN or +inf, which
+    the exact gate makes +inf, above every finite epsilon_r.
     """
     return epsilon_r * epsilon_r * (1.0 + 2.0**-40) + sys.float_info.min
 
@@ -189,10 +189,14 @@ class _GatePool:
             self.max_features = np.abs(self.features).max(axis=1)
 
     def candidates(self, top: np.ndarray, ok: np.ndarray, take: int, threshold: float) -> np.ndarray:
-        """The rows that :func:`_exact_gate`'s count may keep at squared threshold ``threshold``: one product per window.
+        """Every row whose gate median can be within epsilon_r, at ``threshold = _gate_threshold(epsilon_r)``: one product.
 
-        A sketch's rows are (a, -d, c) and (d, a, f), as ``similarity_sketch``
-        makes them, so a point's squared distance
+        The median is at least the row's error of rank (take - 1) // 2 (it
+        is that error for odd take), so a row can pass only if more than
+        (take - 1) // 2 of its errors are within epsilon_r, and each of
+        those has a squared distance within ``threshold``. A sketch's rows
+        are (a, -d, c) and (d, a, f), as ``similarity_sketch`` makes them, so
+        a point's squared distance
         ``(a*u - d*v + c - x)**2 + (d*u + a*v + f - y)**2`` is the dot product
         of the row's coefficients ``C = (a*a + d*d, 2*(c*a + f*d),
         2*(f*a - c*d), c*c + f*f, 1, -2*a, 2*d, -2*c, -2*f)`` with the
@@ -206,19 +210,19 @@ class _GatePool:
         which ``|C| @ max|F|`` bounds. AM-GM bounds every cross term by terms
         of S (``2*|c*a*u| <= C[0]*F[0] + C[3]``, for one), and the squares
         of ``|a*u| + |d*v| + |c| + |x|`` and of its y twin add up to at most
-        4*S. So the roundings of the exact path's ``dx*dx + dy*dy`` move it
-        by at most 48 * 2**-53 * S, those of C, F and their product move
-        ``C @ F`` by at most 22 * 2**-53 * S, and the two differ by less
+        4*S. So the roundings of ``dx*dx + dy*dy`` on the exact gate's
+        displacements move it by at most 48 * 2**-53 * S, those of C, F and
+        their product move ``C @ F`` by at most 22 * 2**-53 * S, and the
+        two differ by less
         than ``2**-46 * S``, well within the slack, as long as nothing
         overflows and what underflows moves them by less than 2**-600. A
         usable sketch has entries below 5e11 (see :func:`_sketches`), so
         that holds on a pool whose nonzero coordinates all lie in
         [2**-200, 2**200]: every feature is then normal or zero, and no
-        product comes near overflow. So every squared distance that the
-        exact count keeps (``<= threshold``) is near here, and the
-        candidates include every row that count keeps. On any other pool
-        every usable row is a candidate, and at a threshold of +inf every
-        row is, which is the exact gate alone. The product only selects
+        product comes near overflow. So every squared distance within
+        ``threshold`` is near here, and the candidates include every row
+        that can pass. On any other pool every usable row is a candidate,
+        and at a threshold of +inf every row is. The product only selects
         rows, so results do not depend on how it rounds.
         """
         if threshold == math.inf:
@@ -238,75 +242,30 @@ class _GatePool:
 def _exact_gate(top: np.ndarray, ok: np.ndarray, labels: np.ndarray, gate: _GatePool, take: int, epsilon_r: float):
     """The gate medians of sketches ``top`` (usable where ``ok``) and, for those that pass, cuts for the filtered sets.
 
-    Returns ``(medians, passing)``: ``passing`` yields ``(labels[r], cut)``
-    in order for each passing row r. The rows must include every row of
-    their window that the count below keeps, as
-    :meth:`_GatePool.candidates` picks them. The errors, medians and cuts of
-    :func:`_seed_block` come from here.
+    Returns ``(medians, passing)``. A row's errors are those of every pool
+    point under its sketch, bit for bit what
+    ``transfer_errors(single_match_homography(seed).m, src, dst)`` gives,
+    except that NaN becomes +inf; an unusable row's errors are all +inf, so
+    it fails every finite gate. ``medians[r]`` is the median of the row's
+    ``take`` smallest errors. ``passing`` yields ``(labels[r], cut)`` in
+    order for each row with ``medians[r] <= epsilon_r``; ``cut()`` returns
+    the indices of the ``take`` smallest errors, ordered by error and then
+    by index, so a set is cut only for a seed the caller asks for. The walk
+    hands it the rows that :meth:`_GatePool.candidates` keeps.
     """
     # one (rows, 1) column per entry against the pool's points; w is exactly 1
-    u, v = gate.u, gate.v
-    dx, dy, d2 = np.empty((3, ok.size, u.size))
-    apply_homogeneous((*top[..., None], (0.0, 0.0, 1.0)), u, v, out=(dx, dy))
+    dx, dy = np.empty((2, ok.size, gate.u.size))
+    apply_homogeneous((*top[..., None], (0.0, 0.0, 1.0)), gate.u, gate.v, out=(dx, dy))
     dx -= gate.x
     dy -= gate.y
-    threshold = _gate_threshold(epsilon_r)
-    if threshold < math.inf:
-        # a singular sketch's row is left out: its +inf median fails every
-        # finite gate
-        with np.errstate(over="ignore"):
-            np.multiply(dx, dx, out=d2)
-            d2 += dy * dy
-        exact = np.flatnonzero(ok & (np.count_nonzero(d2 <= threshold, axis=1) > (take - 1) // 2))
-        errors = np.hypot(dx[exact], dy[exact])
-    else:
-        exact = np.arange(ok.size)
-        errors = np.hypot(dx, dy)
-        errors[~ok] = np.inf
+    errors = np.hypot(dx, dy, out=dx)
+    errors[~ok] = np.inf
     errors[np.isnan(errors)] = np.inf
     # the median's ranks, and take - 1, where the filtered sets cut their candidates
     part = np.partition(errors, sorted({(take - 1) // 2, take // 2, take - 1}), axis=1)
-    medians = np.full(ok.size, np.inf)
-    medians[exact] = _median_of_smallest(part, take)
-    passed = np.flatnonzero(medians[exact] <= epsilon_r).tolist()
-    return medians, ((int(labels[exact[r]]), partial(_filtered_set, errors[r], part[r], take)) for r in passed)
-
-
-def _seed_block(
-    seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float
-) -> tuple[np.ndarray, Iterator[tuple[int, Callable[[], np.ndarray]]]]:
-    """Each seed's gate median and, for the seeds that pass the gate, a cut for the filtered set.
-
-    Returns ``(medians, passing)``. A seed's errors are those of every
-    ``src -> dst`` pair under the sketch of ``seeds[i]``, bit for bit what
-    ``transfer_errors(single_match_homography(seeds[i]).m, src, dst)`` gives,
-    except that NaN becomes +inf. ``medians[i]`` is the median of the
-    min(n_f, n) smallest of them. A seed whose sketch fails
-    :func:`~hsolo.geometry.valid_homography` (non-finite or singular) gets
-    +inf errors throughout, so it fails every finite gate instead of raising.
-
-    ``passing`` yields ``(i, cut)`` in order for each seed with
-    ``medians[i] <= epsilon_r``; ``cut()`` returns the indices of the
-    min(n_f, n) smallest errors, ordered by error and then by index, so a
-    set is cut only for a seed the caller asks for. The gate is first
-    decided by a count: the median is at least the row's value of rank
-    (take - 1) // 2 (it is that value for odd take), so a row can pass only
-    if more than (take - 1) // 2 of its squared distances lie within
-    :func:`_gate_threshold`. One matrix product over the block
-    (:meth:`_GatePool.candidates`) picks the rows that the count may keep,
-    only those are counted exactly, and only the rows the count keeps get
-    exact errors and a median. The rest report a +inf median, so every seed
-    passes or fails as with exact medians. At ``epsilon_r = +inf`` the
-    product and the count are skipped: every median is exact and every seed
-    passes.
-    """
-    gate = _GatePool(src, dst)
-    take = min(n_f, len(src))
-    top, ok = _sketches(seeds)
-    rows = gate.candidates(top, ok, take, _gate_threshold(epsilon_r))
-    medians = np.full(len(seeds), np.inf)
-    medians[rows], passing = _exact_gate(top[..., rows], ok[rows], rows, gate, take, epsilon_r)
-    return medians, passing
+    medians = _median_of_smallest(part, take)
+    passed = np.flatnonzero(medians <= epsilon_r).tolist()
+    return medians, ((int(labels[r]), partial(_filtered_set, errors[r], part[r], take)) for r in passed)
 
 
 def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
@@ -315,19 +274,23 @@ def seed_medians(seeds, pool, n_f: int) -> np.ndarray:
     For every seed, the median error of the min(n_f, len(pool)) pool entries
     ranked best by the seed's similarity sketch; +inf for a seed whose
     byproducts give no usable sketch. Seeds are evaluated in blocks by the
-    walk's own kernel at a gate of +inf, which computes every median exactly.
+    walk's own sketches and exact gate, at a gate of +inf.
     """
     if not pool:
         raise ValueError("pool must be non-empty")
     if n_f < 1:
         raise ValueError(f"n_f must be >= 1, got {n_f}")
     seeds = as_pool(seeds)
-    src, dst = pool_arrays(pool)
+    gate = _GatePool(*pool_arrays(pool))
+    take = min(n_f, len(pool))
     rows = _max_seed_block(len(pool))
-    medians = [
-        _seed_block(seeds[i : i + rows], src, dst, n_f, math.inf)[0] for i in range(0, len(seeds), rows)
-    ]
-    return np.concatenate(medians) if medians else np.empty(0)
+    # a block's medians may be a view of its partitioned errors; copying them
+    # out at once frees each block's errors before the next block
+    medians = np.empty(len(seeds))
+    for i in range(0, len(seeds), rows):
+        medians[i : i + rows] = _exact_gate(*_sketches(seeds[i : i + rows]), range(i, i + rows), gate, take,
+                                            math.inf)[0]
+    return medians
 
 
 def estimate_epsilon_r(errors) -> float:
@@ -488,9 +451,10 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     Sketches are gated for a window of upcoming seeds at once (32 seeds at
     first, doubling up to a fixed element budget): one matrix product per
     window bounds each seed's count of nearby points from above, and only
-    the seeds it keeps (the gate candidates) get exact pool errors, a gate
-    median and, if they pass, a filtered set cut from the same partition as
-    the median. The walk takes the candidates four at a time: a batch's
+    the seeds it keeps (the gate candidates) get exact pool errors and a
+    gate median, four at a time; those that pass get a filtered set cut from
+    the same partition as the median. The pool is stacked once into the
+    table the inner searches gather their filtered sets from. A batch's
     inner searches draw their first batches (each from the seed's own
     stream), solve and score them together. Then the seeds are replayed in
     order, so budget updates and random draws are exactly those of
@@ -514,6 +478,7 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
     perm = rng.permutation(n)
     shuffled = pool[perm]
     src, dst = pool_arrays(shuffled)
+    table = np.stack((src.T, dst.T), axis=1)
     scorer = _ScorePool(src, dst, config.epsilon)
     inner_config = RansacConfig(epsilon=config.epsilon, p=config.p)
 
@@ -561,8 +526,8 @@ def hsolo_estimate(pool, config: HsoloConfig) -> EstimationResult:
             searches = {}
             for i, cut in passing:
                 filtered = cut()
-                searches[i] = _Search(np.random.default_rng(inner_seeds[i]), src[filtered], dst[filtered],
-                                      config.w_f, inner_config)
+                searches[i] = _Search(np.random.default_rng(inner_seeds[i]), table[..., filtered], config.w_f,
+                                      inner_config)
             _run_searches(list(searches.values()), scorer)
             found = [(i, s.improvements[-1][3]) for i, s in searches.items() if s.improvements]
             waiting, waiting_top, waiting_ok = waiting[b:], waiting_top[..., b:], waiting_ok[b:]

@@ -327,13 +327,13 @@ def _solve(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Search:
     """One adaptive RANSAC search: its draws, its budget and its best model so far.
 
-    Draws are 4-samples of the sample points ``s_src -> s_dst`` from
-    ``rng``; a degenerate sample consumes its iteration. The sample points
-    are kept as one ``(2, 2, n)`` table (coordinate, image, point), so a
-    batch's samples are one gather, in the layout the solver takes, and its
-    models stay ``(3, 3, c)`` through the bound, the scorer and the replay.
-    The budget starts from ``w_init`` and is re-derived from
-    support / len(s_src) at each improvement, never increasing. Batches start at 256 draws, because an
+    Draws are 4-samples of the sample points from ``rng``; a degenerate
+    sample consumes its iteration. The sample points come as one
+    ``(2, 2, n)`` table (coordinate, image, point), so a batch's samples are
+    one gather, in the layout the solver takes, and its models stay
+    ``(3, 3, c)`` through the bound, the scorer and the replay. The budget
+    starts from ``w_init`` and is re-derived from support / n at each
+    improvement, never increasing. Batches start at 256 draws, because an
     early improvement often collapses k and candidates drawn past the
     collapsed budget are wasted work, and double up to ``_CHUNK``. Each
     improvement is kept as ``(iteration, support, k_after, model)`` with the
@@ -341,10 +341,9 @@ class _Search:
     a :class:`Homography`.
     """
 
-    def __init__(self, rng: np.random.Generator, s_src: np.ndarray, s_dst: np.ndarray, w_init: float,
-                 config: RansacConfig):
+    def __init__(self, rng: np.random.Generator, table: np.ndarray, w_init: float, config: RansacConfig):
         self.rng, self.config = rng, config
-        self.ns, self.table = len(s_src), np.stack((s_src.T, s_dst.T), axis=1)
+        self.ns, self.table = table.shape[2], table
         self.walk = Replay(required_iterations(w_init, config.sample_size, config.p, config.max_iterations))
         self.batch = 256
         self.best_support = 0
@@ -432,7 +431,8 @@ def ransac_homography(sample_pool, score_pool, w_init: float | None, config: Ran
         raise ValueError(f"w_init must be in (0, 1], got {w_init}")
 
     f_src, f_dst = pool_arrays(score_pool)
-    search = _Search(np.random.default_rng(config.seed), *pool_arrays(sample_pool), w_init, config)
+    s_src, s_dst = pool_arrays(sample_pool)
+    search = _Search(np.random.default_rng(config.seed), np.stack((s_src.T, s_dst.T), axis=1), w_init, config)
     search.run(_ScorePool(f_src, f_dst, config.epsilon))
     if not search.improvements:
         raise NoModelFound("no sampled model reached a support of 4", search.walk.it)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hsolo import AffineFeature, Correspondence, Homography, Point2, SingularMatrix, project
-from hsolo.estimator import _seed_block
+from hsolo.estimator import _exact_gate, _gate_threshold, _GatePool, _sketches
 from hsolo.geometry import Pool, pool_arrays, transfer_errors
 from hsolo.solvers import single_match_homography
 from hsolo.synthetic import jacobian_byproducts
@@ -88,14 +88,30 @@ def identity_targets(offsets):
     return np.zeros((len(offsets), 2)), np.array(offsets, dtype=float).reshape(-1, 2)
 
 
+def gate_block(seeds: Pool, src: np.ndarray, dst: np.ndarray, n_f: int, epsilon_r: float):
+    """The walk's gate on one block of seeds: the product's candidates, then the exact gate on them.
+
+    Returns ``(rows, medians, passing)``: the candidate rows, the gate
+    medians of the whole block (+inf outside ``rows``) and the exact gate's
+    ``(i, cut)`` for each passing seed, by position in the block.
+    """
+    gate = _GatePool(src, dst)
+    take = min(n_f, len(src))
+    top, ok = _sketches(seeds)
+    rows = gate.candidates(top, ok, take, _gate_threshold(epsilon_r))
+    medians = np.full(len(seeds), np.inf)
+    medians[rows], passing = _exact_gate(top[..., rows], ok[rows], rows, gate, take, epsilon_r)
+    return rows, medians, passing
+
+
 def kernel_filter(errors, n_f: int):
     """The estimator's filtered indices and gate median of one row of errors.
 
-    Drives the row through ``_seed_block`` as the identity sketch's errors
+    Drives the row through the walk's gate as the identity sketch's errors
     against targets at offsets (0, e), with a gate that every row passes.
     """
     src, dst = identity_targets([(0.0, e) for e in np.asarray(errors, dtype=float).tolist()])
-    medians, passing = _seed_block(IDENTITY_SEED, src, dst, n_f, math.inf)
+    _, medians, passing = gate_block(IDENTITY_SEED, src, dst, n_f, math.inf)
     filtered = {i: cut() for i, cut in passing}
     return filtered[0], float(medians[0])
 

@@ -625,7 +625,7 @@ def gathered_batches(draw):
 def test_gathered_batches_solve_as_the_public_solver(case):
     """A search's one-gather draw and the entry-major kernel give ``solve_minimal_batch``'s bits and masks."""
     src, dst, c, seed = case
-    search = robust._Search(np.random.default_rng(seed), src, dst, 1.0, RansacConfig())
+    search = robust._Search(np.random.default_rng(seed), np.stack((src.T, dst.T), axis=1), 1.0, RansacConfig())
     search.walk.k, search.batch = c, c
     start, end, pts = search.draw()
     samples = robust._draw_distinct(np.random.default_rng(seed), len(src), 4, c)

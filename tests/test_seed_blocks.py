@@ -28,7 +28,7 @@ from hsolo import (
     hsolo_estimate,
 )
 from hsolo import estimator
-from hsolo.estimator import _gate_threshold, _polish, _seed_block, seed_medians
+from hsolo.estimator import _gate_threshold, _polish, seed_medians
 from hsolo.geometry import Pool, apply_homogeneous, as_pool, pool_arrays, transfer_errors
 from hsolo.robust import EstimationResult, Improvement, RansacConfig, ransac_homography, required_iterations
 from hsolo.solvers import single_match_homography
@@ -36,6 +36,7 @@ from hsolo.solvers import single_match_homography
 from conftest import (
     IDENTITY_SEED,
     _reference_filter,
+    gate_block,
     identity_targets,
     kernel_filter,
     make_byproduct_correspondence,
@@ -248,11 +249,12 @@ def test_nan_errors_rank_last_like_infinity():
 
 # --- the gate decided by a count ---------------------------------------------
 #
-# Below a gate of +inf, _seed_block computes exact errors only for rows whose
-# count of squared distances within the widened threshold exceeds
-# (take - 1) // 2. Every seed must pass or fail as on the one-seed path, a
-# passing seed must get that path's filtered set and median, and a row that
-# cannot pass must report +inf.
+# Below a gate of +inf, the walk computes exact errors only for the rows that
+# the product keeps: those with more than (take - 1) // 2 points whose squared
+# distance may lie within the widened threshold. Every seed must pass or fail
+# as on the one-seed path, a passing seed must get that path's filtered set,
+# every row the exact gate is given must report that path's median, and every
+# other row +inf.
 
 GATE_EPSILONS = (1e-300, 1e-160, 20.0, 1e160, math.inf)
 
@@ -261,29 +263,29 @@ def _check_gated_block(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> Non
     errors = [scalar_seed_errors(c, src, dst) for c in seeds]
     want = [_reference_filter(e, n_f) for e in errors]
     want_medians = np.array([median for _, _, median in want])
-    # a gate of +inf skips the count: every median is exact and every seed
-    # gets its filtered set
-    exact_medians, exact_passing = _seed_block(seeds, src, dst, n_f, math.inf)
+    # at a gate of +inf every row is a candidate: every median is exact and
+    # every seed gets its filtered set
+    rows, exact_medians, exact_passing = gate_block(seeds, src, dst, n_f, math.inf)
+    assert rows.tolist() == list(range(len(seeds)))
     exact_filtered = {i: cut() for i, cut in exact_passing}
     assert exact_medians.tobytes() == want_medians.tobytes()
     for i, (idx, _, _) in enumerate(want):
         assert exact_filtered[i].tolist() == idx.tolist(), i
-    medians, passing = _seed_block(seeds, src, dst, n_f, epsilon_r)
+    rows, medians, passing = gate_block(seeds, src, dst, n_f, epsilon_r)
     filtered = {i: cut() for i, cut in passing}
     passed = medians <= epsilon_r
     assert passed.tolist() == (want_medians <= epsilon_r).tolist()
-    for i, (idx, _, median) in enumerate(want):
+    for i, (idx, _, _) in enumerate(want):
         if passed[i]:
-            assert filtered[i].tolist() == idx.tolist() and medians[i] == median, i
+            assert filtered[i].tolist() == idx.tolist(), i
         else:
             assert i not in filtered, i
-    # where squares are far from underflow and overflow, a row that cannot
-    # pass (fewer than (take - 1) // 2 + 1 errors near epsilon_r) is +inf
-    if 1e-140 <= epsilon_r <= 1e140:
-        lo = (min(n_f, src.shape[0]) - 1) // 2
-        for i, e in enumerate(errors):
-            if np.count_nonzero(e <= epsilon_r * (1.0 + 2.0**-30)) <= lo:
-                assert medians[i] == math.inf, i
+    # the rows given to the exact gate report the one-seed path's medians bit
+    # for bit, and every other row +inf
+    given = np.zeros(len(seeds), dtype=bool)
+    given[rows] = True
+    assert medians[given].tobytes() == want_medians[given].tobytes()
+    assert np.all(medians[~given] == math.inf)
 
 
 def _identity_seed_block(offsets, n_f: int, epsilon_r: float):
@@ -294,7 +296,7 @@ def _identity_seed_block(offsets, n_f: int, epsilon_r: float):
     """
     src, dst = identity_targets(offsets)
     _check_gated_block(IDENTITY_SEED, src, dst, n_f, epsilon_r)
-    return _seed_block(IDENTITY_SEED, src, dst, n_f, epsilon_r)
+    return gate_block(IDENTITY_SEED, src, dst, n_f, epsilon_r)[1:]
 
 
 def test_gate_keeps_a_median_that_the_sum_of_squares_rounds_above_epsilon_r():
@@ -360,7 +362,7 @@ def gated_blocks(draw):
     if not draw(st.booleans()):
         return seeds, pool_src, pool_dst, n_f, draw(st.sampled_from(GATE_EPSILONS))
     with np.errstate(over="ignore", invalid="ignore"):  # far-out points
-        medians = _seed_block(seeds, pool_src, pool_dst, n_f, math.inf)[0]
+        medians = seed_medians(seeds, seeds, n_f)
     finite = medians[np.isfinite(medians) & (medians > 0.0)]
     if finite.size == 0:
         return seeds, pool_src, pool_dst, n_f, 20.0 * scale
@@ -383,8 +385,8 @@ def test_gated_block_decides_every_seed_as_the_exact_block(case):
 #
 # Per window of seeds, one (seeds, 9) @ (9, n) product bounds each seed's count
 # of squared distances within the gate threshold from above. Its candidates
-# must include every row that the exact count over every row keeps, so the
-# exact gate decides every seed as before.
+# must include every row that an exact count of every row's squared distances
+# keeps, so every seed that can pass gets exact errors.
 
 
 def _exact_count_rows(seeds: Pool, src, dst, n_f: int, epsilon_r: float) -> np.ndarray:
@@ -422,7 +424,7 @@ def test_gate_candidates_prune_a_lowrate_window():
     pool = noisy_pool(500, 0.05, 13)
     seeds, (src, dst) = as_pool(pool), pool_arrays(pool)
     candidates = _gate_candidates(seeds, src, dst, 21, 20.0)
-    medians, passing = _seed_block(seeds, src, dst, 21, 20.0)
+    _, _, passing = gate_block(seeds, src, dst, 21, 20.0)
     passed = [i for i, _ in passing]
     assert 0 < len(passed) <= candidates.size < len(pool) // 10
     assert set(passed) <= set(candidates.tolist())
@@ -492,7 +494,7 @@ def test_gate_leaves_out_an_overflowing_sketch():
     for epsilon_r in GATE_EPSILONS:
         candidates = _gate_candidates(seeds, src, dst, 21, epsilon_r).tolist()
         assert (5 in candidates) == (_gate_threshold(epsilon_r) == math.inf)
-        medians, _ = _seed_block(seeds, src, dst, 21, epsilon_r)
+        _, medians, _ = gate_block(seeds, src, dst, 21, epsilon_r)
         assert medians[5] == math.inf
 
 
@@ -541,6 +543,15 @@ def _count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def test_seed_medians_builds_one_gate_pool_per_call(monkeypatch):
+    # at n=2000 the blocks hold 32 seeds: 63 of them share one pool's gate
+    pool = noisy_pool(2000, 0.2, 6)
+    gate_pools = _count_calls(monkeypatch, estimator, "_GatePool")
+    blocks = _count_calls(monkeypatch, estimator, "_exact_gate")
+    assert seed_medians(pool, pool, 21).shape == (2000,)
+    assert (len(gate_pools), len(blocks)) == (1, 63)
 
 
 def test_seed_medians_cuts_no_filtered_set(monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hsolo import AffineFeature, Correspondence, Homography, Point2, SingularMatrix
-from hsolo.estimator import _seed_block, seed_medians
+from hsolo.estimator import seed_medians
 from hsolo.geometry import (
     SINGULARITY_RTOL,
     _canonicalize,
@@ -26,7 +26,7 @@ from hsolo.geometry import (
     valid_homography,
 )
 
-from conftest import _reference_filter, random_points, scalar_seed_errors
+from conftest import _reference_filter, gate_block, random_points, scalar_seed_errors
 
 BAND = 1e-15
 
@@ -129,7 +129,7 @@ def sketch_seeds(draw):
 @given(seeds=st.lists(sketch_seeds(), min_size=1, max_size=8))
 def test_seed_block_rows_follow_single_match_homography(seeds):
     # a gate of +inf hands every seed its filtered set
-    medians, passing = _seed_block(as_pool(seeds), _SRC, _DST, 21, math.inf)
+    _, medians, passing = gate_block(as_pool(seeds), _SRC, _DST, 21, math.inf)
     filtered = {i: cut() for i, cut in passing}
     np.testing.assert_array_equal(seed_medians(seeds, _POOL, 21), medians)
     for i, c in enumerate(seeds):

@@ -23,15 +23,18 @@ batches grow past 256 draws. One group hashes ``solve_minimal_batch``'s
 models and masks, with no pool: random, integer-grid (repeated points,
 collinear triples, and coincident targets in every third sample) and
 far-scaled (1e-150 and 1e+150, and the two mixed) samples, at batch sizes
-1, 11 and 2048. The two gate groups call the
-private kernel ``hsolo.estimator._seed_block`` on each pool against itself,
-in blocks of ``_max_seed_block(n)`` seeds, with ``tools/cli_digest.py``'s two
+1, 11 and 2048. The two gate groups run the
+walk's gate on each pool against itself, from the private kernels of
+``hsolo.estimator`` in the walk's order (one ``_GatePool``, then per block of
+``_max_seed_block(n)`` seeds ``_sketches``, ``_GatePool.candidates`` and
+``_exact_gate`` on the candidates), with ``tools/cli_digest.py``'s two
 extreme byproduct rows (an overflowing sketch and a singular one) inserted in
-the middle of the pool; they hash each block's medians and each passing
-seed's position and ``cut()``. At +inf every seed passes, and the two extreme
-seeds' errors are all +inf, so their sets are pure tie order, which no solve
-and no command line reaches. At ``epsilon_r=20`` the gate's matrix product
-and exact count decide which seeds get exact medians. A result's fingerprint holds the model's
+the middle of the pool; they hash each block's medians (+inf for a seed that
+is not a candidate) and each passing seed's position and ``cut()``. At +inf
+every seed is a candidate and passes, and the two extreme seeds' errors are
+all +inf, so their sets are pure tie order, which no solve and no command
+line reaches. At ``epsilon_r=20`` the gate's matrix product decides which
+seeds get exact medians. A result's fingerprint holds the model's
 bytes, the inlier indices, the support, ``iterations_run``, ``k_final`` and
 the history; a solve that raises ``NoModelFound`` digests as that name. Two
 checkouts give the same lines exactly when these results agree bit for bit::
@@ -113,15 +116,19 @@ def _fingerprint(result) -> bytes:
 
 def _gate_cuts(pool, epsilon_r: float, digest) -> None:
     """Feed each block's gate medians and each passing seed's ``(position, filtered set)``, extreme rows inserted, to ``digest``."""
-    from hsolo.estimator import _max_seed_block, _seed_block
+    from hsolo.estimator import _exact_gate, _gate_threshold, _GatePool, _max_seed_block, _sketches
     from hsolo.geometry import Pool, pool_arrays
 
     mid = len(pool) // 2
     seeds = Pool(np.vstack([pool.rows[:mid], EXTREME_ROWS, pool.rows[mid:]]))
-    src, dst = pool_arrays(seeds)
+    gate = _GatePool(*pool_arrays(seeds))
+    take = min(N_F, len(seeds))
     rows = _max_seed_block(len(seeds))
     for i in range(0, len(seeds), rows):
-        medians, passing = _seed_block(seeds[i : i + rows], src, dst, N_F, epsilon_r)
+        top, ok = _sketches(seeds[i : i + rows])
+        cand = gate.candidates(top, ok, take, _gate_threshold(epsilon_r))
+        medians = np.full(ok.size, np.inf)
+        medians[cand], passing = _exact_gate(top[..., cand], ok[cand], cand, gate, take, epsilon_r)
         digest.update(medians.tobytes())
         for j, cut in passing:
             digest.update((i + j).to_bytes(8, "little") + cut().tobytes())
